@@ -7,9 +7,7 @@
  * costs Fig. 5 / Fig. 6 aggregate.
  */
 
-#include <atomic>
-#include <mutex>
-#include <thread>
+#include <memory>
 
 #include <benchmark/benchmark.h>
 
@@ -20,8 +18,6 @@
 #include "litmus/litmus.hh"
 #include "mcm/sc_ref.hh"
 #include "sat/cnf.hh"
-#include "sat/share.hh"
-#include "sat/simplify.hh"
 #include "sim/simulator.hh"
 #include "uhb/uhb.hh"
 #include "vscale/metadata.hh"
@@ -34,15 +30,15 @@ namespace
 
 // ------------------------------------------------------------------
 // Sliced vscale query corpus: per-SVA-style BMC queries captured as
-// CNF snapshots (exportCnf of a COI-sliced PropCtx with the query's
-// monitor clauses guarded by its activation literal — the same
-// snapshot the engine hands portfolio challengers). Solving one under
-// {act} reproduces the query verdict exactly.
+// solver snapshots (cloneFrom of a COI-sliced PropCtx's solver with the
+// query's monitor clauses guarded by its activation literal, taken
+// before any search). Solving a clone under {act} reproduces the query
+// verdict exactly.
 // ------------------------------------------------------------------
 
 struct QueryCnf
 {
-    std::vector<std::vector<sat::Lit>> clauses;
+    std::unique_ptr<sat::Solver> snapshot;
     sat::Lit act; ///< solve under this assumption
     int numVars = 0;
     bool sat = false; ///< reference verdict (default config)
@@ -78,7 +74,8 @@ queryCorpus()
                 }
                 ctx.assume(bad);
                 QueryCnf q;
-                ctx.solver().exportCnf(q.clauses, false);
+                q.snapshot = std::make_unique<sat::Solver>();
+                q.snapshot->cloneFrom(ctx.solver());
                 q.act = ctx.activation();
                 q.numVars = ctx.solver().numVars();
                 q.sat = kind == 0;
@@ -94,65 +91,8 @@ void
 loadQuery(sat::Solver &s, const QueryCnf &q,
           const sat::SolverConfig &cfg)
 {
+    s.cloneFrom(*q.snapshot);
     s.setConfig(cfg);
-    while (s.numVars() < q.numVars)
-        s.newVar();
-    for (const auto &c : q.clauses)
-        if (!s.addClause(c))
-            break;
-}
-
-sat::SolverConfig
-racerConfig(unsigned r)
-{
-    sat::SolverConfig cfg;
-    if (r == 1) {
-        cfg.restart = sat::SolverConfig::Restart::Glucose;
-        cfg.lbdReduce = true;
-    } else if (r >= 2) {
-        cfg.polarity = sat::SolverConfig::Polarity::Rand;
-        cfg.seed = 0x9E37 + r;
-    }
-    return cfg;
-}
-
-/**
- * Micro portfolio: race `racers` diversified configs on one snapshot
- * with a shared clause pool; the first definitive verdict interrupts
- * the rest. All racers solve under the same activation assumption, so
- * learnt clauses are implicates of the snapshot and shared unguarded.
- */
-sat::Result
-racePortfolio(const QueryCnf &q, unsigned racers,
-              uint64_t *imported = nullptr)
-{
-    sat::ClausePool pool(racers);
-    std::atomic<bool> stop{false};
-    std::mutex mu;
-    sat::Result verdict = sat::Result::Unknown;
-    uint64_t imported_total = 0;
-    std::vector<std::thread> threads;
-    for (unsigned r = 0; r < racers; r++) {
-        threads.emplace_back([&, r] {
-            sat::Solver s;
-            loadQuery(s, q, racerConfig(r));
-            s.setShare(&pool, r);
-            s.setExternalInterrupt(&stop);
-            sat::Result res = s.solve({q.act});
-            std::lock_guard<std::mutex> lk(mu);
-            imported_total += s.stats().sharedImported;
-            if (res != sat::Result::Unknown) {
-                if (verdict == sat::Result::Unknown)
-                    verdict = res;
-                stop.store(true, std::memory_order_relaxed);
-            }
-        });
-    }
-    for (auto &t : threads)
-        t.join();
-    if (imported)
-        *imported += imported_total;
-    return verdict;
 }
 
 void
@@ -292,37 +232,6 @@ BM_SatQueryInprocess(benchmark::State &state)
 BENCHMARK(BM_SatQueryInprocess)->Arg(0)->Arg(1)->Unit(
     benchmark::kMillisecond);
 
-// Same corpus with SatELite preprocessing (BVE + subsumption) before
-// the solve; the assumption variable is frozen.
-void
-BM_SatQueryPreprocess(benchmark::State &state)
-{
-    const auto &corpus = queryCorpus();
-    for (auto _ : state) {
-        for (const auto &q : corpus) {
-            sat::Solver s;
-            loadQuery(s, q, sat::SolverConfig{});
-            s.preprocess(sat::SimplifyOptions{}, {sat::var(q.act)});
-            benchmark::DoNotOptimize(s.solve({q.act}));
-        }
-    }
-}
-BENCHMARK(BM_SatQueryPreprocess)->Unit(benchmark::kMillisecond);
-
-// Same corpus raced across N diversified configs with clause sharing.
-void
-BM_SatQueryPortfolio(benchmark::State &state)
-{
-    unsigned racers = static_cast<unsigned>(state.range(0));
-    const auto &corpus = queryCorpus();
-    for (auto _ : state) {
-        for (const auto &q : corpus)
-            benchmark::DoNotOptimize(racePortfolio(q, racers));
-    }
-}
-BENCHMARK(BM_SatQueryPortfolio)->Arg(2)->Arg(3)->Unit(
-    benchmark::kMillisecond);
-
 /**
  * One timed sweep per solver configuration over the corpus, with
  * verdict cross-checks, written to BENCH_sat.json for scripted
@@ -340,35 +249,19 @@ writeSatJson()
         bool verdictsAgree = true;
         uint64_t extra = 0;
     };
-    Row rows[4] = {{"inprocess_on"},
-                   {"inprocess_off"},
-                   {"preprocess_bve"},
-                   {"portfolio_3"}};
+    Row rows[2] = {{"inprocess_on"}, {"inprocess_off"}};
 
-    for (int cfg_i = 0; cfg_i < 4; cfg_i++) {
+    for (int cfg_i = 0; cfg_i < 2; cfg_i++) {
         Row &row = rows[cfg_i];
         Timer t;
         for (const auto &q : corpus) {
-            sat::Result res;
-            if (cfg_i == 3) {
-                res = racePortfolio(q, 3, &row.extra);
-            } else {
-                sat::SolverConfig cfg;
-                if (cfg_i == 1)
-                    cfg.inprocessPeriod = 0;
-                sat::Solver s;
-                loadQuery(s, q, cfg);
-                if (cfg_i == 2) {
-                    s.preprocess(sat::SimplifyOptions{},
-                                 {sat::var(q.act)});
-                    row.extra += s.stats().preprocessVarsEliminated;
-                } else if (cfg_i == 0) {
-                    // count inprocessing passes below via stats
-                }
-                res = s.solve({q.act});
-                if (cfg_i == 0)
-                    row.extra += s.stats().simplifyRuns;
-            }
+            sat::SolverConfig cfg;
+            if (cfg_i == 1)
+                cfg.inprocessPeriod = 0;
+            sat::Solver s;
+            loadQuery(s, q, cfg);
+            sat::Result res = s.solve({q.act});
+            row.extra += s.stats().simplifyRuns;
             bool sat_res = res == sat::Result::Sat;
             if (res == sat::Result::Unknown || sat_res != q.sat)
                 row.verdictsAgree = false;
@@ -387,16 +280,14 @@ writeSatJson()
                        return corpus.empty() ? 0.0 : v / corpus.size();
                    }());
     json += "  \"configs\": {\n";
-    const char *extra_key[4] = {"inprocess_runs", "unused",
-                                "vars_eliminated", "shared_imported"};
-    for (int i = 0; i < 4; i++) {
+    for (int i = 0; i < 2; i++) {
         json += strfmt("    \"%s\": {\"seconds\": %.4f, "
-                       "\"verdicts_agree\": %s, \"%s\": %llu}%s\n",
+                       "\"verdicts_agree\": %s, "
+                       "\"inprocess_runs\": %llu}%s\n",
                        rows[i].name, rows[i].seconds,
                        rows[i].verdictsAgree ? "true" : "false",
-                       extra_key[i],
                        static_cast<unsigned long long>(rows[i].extra),
-                       i + 1 < 4 ? "," : "");
+                       i + 1 < 2 ? "," : "");
     }
     json += "  }\n}\n";
     writeFile(bench::outPath("BENCH_sat.json"), json);

@@ -34,7 +34,6 @@ verdictSourceName(VerdictSource source)
       case VerdictSource::Cancelled: return "cancelled";
       case VerdictSource::Interrupted: return "interrupted";
       case VerdictSource::ValidationFailed: return "validation-failed";
-      case VerdictSource::Portfolio: return "portfolio";
       case VerdictSource::Race: return "race";
     }
     return "?";
@@ -54,8 +53,6 @@ engineKindName(EngineKind kind)
 void
 applyLimits(sat::Solver &solver, const SolveLimits &limits)
 {
-    if (limits.config)
-        solver.setConfig(*limits.config);
     solver.setConflictBudget(limits.conflicts);
     solver.setPropagationBudget(limits.propagations);
     solver.setDeadline(limits.seconds);

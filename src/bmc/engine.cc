@@ -12,8 +12,6 @@
 #include "bmc/validate.hh"
 #include "common/logging.hh"
 #include "common/timer.hh"
-#include "sat/share.hh"
-#include "sat/simplify.hh"
 
 namespace r2u::bmc
 {
@@ -103,7 +101,6 @@ struct Engine::Worker
                 seed_builder_for.insert(bound);
             }
         }
-        ctx->solver().setConfig(engine.base_config_);
         it = contexts.emplace(bound, std::move(ctx)).first;
         contexts_built++;
         return *it->second;
@@ -119,9 +116,6 @@ Engine::Engine(const nl::Netlist &netlist,
       jobs_(resolveJobs(engine_options.jobs))
 {
     R2U_ASSERT(bound_ > 0, "engine needs a positive default bound");
-    base_config_ = eopts_.solverConfig;
-    if (!eopts_.inprocess)
-        base_config_.inprocessPeriod = 0;
     if (!eopts_.cexVcdDir.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(eopts_.cexVcdDir, ec);
@@ -174,7 +168,6 @@ Engine::attemptLimits(const Query &query, unsigned attempt,
 
     limits = SolveLimits{};
     limits.cancel = &cancel_;
-    limits.config = &base_config_;
     double esc = escFactor(attempt);
 
     // Attempt 0 uses the configured budgets verbatim (a budget of 0 is
@@ -279,11 +272,10 @@ refineSource(CheckResult &result, bool total_binding)
  * model — is identical; the race only changes wall-clock and proof
  * *generality* (unbounded vs bounded Proven).
  *
- * The winner interrupts the incumbent solver (when one is wired up;
- * the jobs=1 fresh path has none and merely skips its retries).
- * finish() must be called before the incumbent's solver is reused,
- * and the caller must clearInterrupt() afterwards — a challenger's
- * interrupt poke is sticky.
+ * The winner interrupts the incumbent solver. finish() must be called
+ * before the incumbent's solver is reused, and the caller must
+ * clearInterrupt() afterwards — a challenger's interrupt poke is
+ * sticky.
  */
 class ProofRace
 {
@@ -296,7 +288,7 @@ class ProofRace
               const Unroller::Options &options, const Query &query,
               const SolveLimits &limits,
               const std::atomic<bool> *engine_cancel,
-              sat::Solver *incumbent)
+              sat::Solver &incumbent)
         : nl_(nl), signals_(signals), options_(options), query_(query),
           limits_(limits), engine_cancel_(engine_cancel),
           incumbent_(incumbent)
@@ -410,8 +402,7 @@ class ProofRace
         int expected = 0;
         if (winner_.compare_exchange_strong(expected, who)) {
             stop_.store(true, std::memory_order_relaxed);
-            if (incumbent_)
-                incumbent_->interrupt();
+            incumbent_.interrupt();
         }
     }
 
@@ -421,7 +412,7 @@ class ProofRace
     const Query &query_;
     SolveLimits limits_;
     const std::atomic<bool> *engine_cancel_;
-    sat::Solver *incumbent_;
+    sat::Solver &incumbent_;
 
     std::atomic<bool> stop_{false};
     std::atomic<int> winner_{0};
@@ -434,56 +425,6 @@ class ProofRace
 };
 
 } // namespace
-
-CheckResult
-Engine::runFresh(const Query &query)
-{
-    CheckResult result;
-    // Race mode: the proof challengers run alongside the fresh BMC
-    // attempts. There is no incumbent solver to interrupt on this path
-    // (checkProperty owns its own); a challenger win just short-cuts
-    // the retry ladder and upgrades the verdict in merge().
-    std::unique_ptr<ProofRace> proof_race;
-    unsigned attempt = 0;
-    while (true) {
-        SolveLimits limits;
-        bool total_binding = false;
-        if (!attemptLimits(query, attempt, limits, total_binding)) {
-            if (attempt == 0)
-                result = cancelledResult(query.bound);
-            // else: keep the last attempt's honest Unknown.
-            break;
-        }
-        if (!proof_race && query.frameProp &&
-            eopts_.engine == EngineChoice::Race) {
-            proof_race = std::make_unique<ProofRace>(
-                nl_, signals_, options_, query, limits, &cancel_,
-                nullptr);
-            proof_race->start();
-        }
-        CheckResult r = checkProperty(nl_, signals_, options_,
-                                      query.bound, query.prop, limits);
-        if (attempt > 0) {
-            r.seconds += result.seconds;
-            r.conflicts += result.conflicts;
-            r.propagations += result.propagations;
-        }
-        result = std::move(r);
-        result.retries = attempt;
-        refineSource(result, total_binding);
-        if (proof_race && proof_race->decided())
-            break; // a challenger's proof supersedes further retries
-        if (!shouldRetry(result, attempt))
-            break;
-        attempt++;
-    }
-    if (proof_race) {
-        proof_race->finish();
-        proof_race->merge(result);
-    }
-    fillCoiStats(query, result);
-    return result;
-}
 
 CheckResult
 Engine::runProofEngine(const Query &query)
@@ -918,173 +859,6 @@ Engine::resolveFromCache(const std::vector<Query> &batch,
     }
 }
 
-sat::SolverConfig
-Engine::challengerConfig(unsigned racer) const
-{
-    // Diversification table: each challenger searches the same formula
-    // with a different restart policy, phase heuristic, and seed, so
-    // the portfolio covers instance classes the base config is slow
-    // on (cf. the Glucose-vs-Luby split measured on combinatorial
-    // cores). Deterministic in the racer index.
-    sat::SolverConfig cfg = base_config_;
-    cfg.seed = 0x9E3779B97F4A7C15ull * racer;
-    switch (racer % 4) {
-      case 1:
-        cfg.restart = sat::SolverConfig::Restart::Glucose;
-        cfg.lbdReduce = true;
-        cfg.polarity = sat::SolverConfig::Polarity::False;
-        break;
-      case 2:
-        cfg.restart = sat::SolverConfig::Restart::Luby;
-        cfg.lubyUnit = 300;
-        cfg.polarity = sat::SolverConfig::Polarity::Rand;
-        cfg.randomFreq = 0.02;
-        break;
-      case 3:
-        cfg.restart = sat::SolverConfig::Restart::Glucose;
-        cfg.glucoseMargin = 1.15;
-        cfg.lbdReduce = true;
-        cfg.polarity = sat::SolverConfig::Polarity::True;
-        break;
-      case 0: // racer >= 4 wraps: randomized Luby
-        cfg.restart = sat::SolverConfig::Restart::Luby;
-        cfg.polarity = sat::SolverConfig::Polarity::Rand;
-        cfg.randomFreq = 0.05;
-        break;
-    }
-    return cfg;
-}
-
-sat::Result
-Engine::racePortfolio(PropCtx &ctx, const SolveLimits &limits,
-                      CheckResult &result)
-{
-    sat::Solver &incumbent = ctx.solver();
-    unsigned racers = std::max(2u, eopts_.portfolioRacers);
-    Lit act = ctx.activation();
-
-    // One snapshot per race: level-0 units plus every live clause, in
-    // the incumbent's variable numbering. The snapshot includes the
-    // current query's activation-guarded clauses and the retired
-    // activation units of earlier queries, so every racer decides
-    // exactly the incumbent's formula under the same assumption — and
-    // therefore any racer's learnt clauses are implicates of the
-    // shared database, sound to import in either direction unguarded.
-    std::vector<std::vector<Lit>> snapshot;
-    incumbent.exportCnf(snapshot);
-
-    sat::ClausePool pool(racers);
-    if (eopts_.shareClauses)
-        incumbent.setShare(&pool, 0);
-
-    uint64_t inc_exported = incumbent.stats().sharedExported;
-    uint64_t inc_imported = incumbent.stats().sharedImported;
-
-    std::vector<std::unique_ptr<sat::Solver>> challengers;
-    for (unsigned r = 1; r < racers; r++) {
-        auto ch = std::make_unique<sat::Solver>();
-        ch->setConfig(challengerConfig(r));
-        while (ch->numVars() < incumbent.numVars())
-            ch->newVar();
-        for (const auto &clause : snapshot)
-            ch->addClause(clause);
-        if (eopts_.inprocess) {
-            // BVE + subsumption on the snapshot; the activation
-            // variable must survive to be assumed. Model
-            // reconstruction restores eliminated variables before a
-            // SAT model is adopted below.
-            ch->preprocess(sat::SimplifyOptions{},
-                           {sat::var(act)});
-        }
-        if (eopts_.shareClauses)
-            ch->setShare(&pool, r);
-        challengers.push_back(std::move(ch));
-    }
-
-    std::atomic<int> winner{-1};
-    std::vector<sat::Result> verdicts(racers, sat::Result::Unknown);
-    std::vector<std::thread> threads;
-    threads.reserve(racers - 1);
-    // Challengers keep their diversified configs: share the budgets
-    // and deadline but not limits.config (the base config).
-    SolveLimits ch_limits = limits;
-    ch_limits.config = nullptr;
-    for (unsigned r = 1; r < racers; r++) {
-        sat::Solver *ch = challengers[r - 1].get();
-        threads.emplace_back([ch, r, act, ch_limits, &winner,
-                              &verdicts, &incumbent, &challengers] {
-            applyLimits(*ch, ch_limits);
-            sat::Result res = ch->solve({act});
-            verdicts[r] = res;
-            if (res != sat::Result::Unknown) {
-                int expected = -1;
-                if (winner.compare_exchange_strong(
-                        expected, static_cast<int>(r))) {
-                    incumbent.interrupt();
-                    for (auto &other : challengers)
-                        if (other.get() != ch)
-                            other->interrupt();
-                }
-            }
-        });
-    }
-
-    applyLimits(incumbent, limits);
-    sat::Result inc_res = incumbent.solve({act});
-    verdicts[0] = inc_res;
-    if (inc_res != sat::Result::Unknown) {
-        int expected = -1;
-        winner.compare_exchange_strong(expected, 0);
-    }
-    // The race is decided (or the incumbent exhausted its limits):
-    // stop every challenger and wait them out before touching shared
-    // state. clearInterrupt() must come after the joins — a late
-    // winner still pokes the incumbent's flag.
-    for (auto &ch : challengers)
-        ch->interrupt();
-    for (auto &t : threads)
-        t.join();
-    incumbent.clearInterrupt();
-    incumbent.setShare(nullptr, 0);
-
-    int win = winner.load(std::memory_order_relaxed);
-    sat::Result final_res = inc_res;
-    if (win > 0) {
-        final_res = verdicts[win];
-        if (final_res == sat::Result::Sat) {
-            // extractTrace() reads the incumbent's model; hand it the
-            // challenger's (reconstruction already re-entered any
-            // BVE-eliminated variables in Solver::solve()).
-            incumbent.adoptModel(
-                challengers[win - 1]->model());
-        }
-    }
-
-    result.portfolioRacers = racers;
-    result.portfolioWinner = win;
-    if (win > 0) {
-        // The winning challenger's solve produced the verdict; record
-        // *its* work, not the interrupted incumbent's partial counters
-        // (challengers are fresh per race, so totals are per-race).
-        result.conflicts = challengers[win - 1]->stats().conflicts;
-        result.propagations =
-            challengers[win - 1]->stats().propagations;
-    }
-    result.sharedExported +=
-        incumbent.stats().sharedExported - inc_exported;
-    result.sharedImported +=
-        incumbent.stats().sharedImported - inc_imported;
-    for (const auto &ch : challengers) {
-        result.sharedExported += ch->stats().sharedExported;
-        result.sharedImported += ch->stats().sharedImported;
-        result.preprocessVarsEliminated +=
-            ch->stats().preprocessVarsEliminated;
-        result.preprocessClausesRemoved +=
-            ch->stats().preprocessClausesRemoved;
-    }
-    return final_res;
-}
-
 void
 Engine::maybePublishSeed(Worker &worker, PropCtx &ctx, unsigned bound)
 {
@@ -1170,15 +944,13 @@ Engine::runIncremental(Worker &worker, const Query &query)
     // the snapshot point for warm-starting sibling contexts.
     maybePublishSeed(worker, ctx, query.bound);
 
-    bool race = eopts_.portfolio && eopts_.portfolioRacers >= 2;
-
     // Proof-engine race: PDR and k-induction challengers start once,
     // before the attempt loop, and run across every retry. A winning
     // challenger interrupts this worker's incumbent solver.
     std::unique_ptr<ProofRace> proof_race;
     if (query.frameProp && eopts_.engine == EngineChoice::Race) {
         proof_race = std::make_unique<ProofRace>(
-            nl_, signals_, options_, query, limits, &cancel_, &solver);
+            nl_, signals_, options_, query, limits, &cancel_, solver);
         proof_race->start();
     }
 
@@ -1187,14 +959,8 @@ Engine::runIncremental(Worker &worker, const Query &query)
     // carry over, so escalation resumes rather than restarts the work.
     unsigned attempt = 0;
     while (true) {
-        sat::Result r;
-        if (race) {
-            r = racePortfolio(ctx, limits, result);
-        } else {
-            applyLimits(solver, limits);
-            r = solver.solve({ctx.activation()});
-        }
-        switch (r) {
+        applyLimits(solver, limits);
+        switch (solver.solve({ctx.activation()})) {
           case sat::Result::Unsat:
             result.verdict = Verdict::Proven;
             result.source = VerdictSource::Solve;
@@ -1221,18 +987,8 @@ Engine::runIncremental(Worker &worker, const Query &query)
     }
 
     result.seconds = timer.seconds();
-    if (result.portfolioWinner > 0) {
-        // A portfolio challenger won: its solve produced the verdict,
-        // so the record carries its name and its work — not the
-        // interrupted incumbent's partial counters (racePortfolio
-        // already wrote the winner's conflicts/propagations).
-        if (result.verdict != Verdict::Unknown)
-            result.source = VerdictSource::Portfolio;
-    } else {
-        result.conflicts = solver.stats().conflicts - conflicts_before;
-        result.propagations =
-            solver.stats().propagations - props_before;
-    }
+    result.conflicts = solver.stats().conflicts - conflicts_before;
+    result.propagations = solver.stats().propagations - props_before;
     result.inprocessRuns =
         solver.stats().simplifyRuns - simp_runs_before;
     result.inprocessClausesRemoved =
@@ -1294,10 +1050,6 @@ Engine::drain()
         stats_.replaySeconds += r.replaySeconds;
         stats_.recheckSeconds += r.recheckSeconds;
         stats_.validateSeconds += r.validateSeconds;
-        if (r.portfolioRacers > 0)
-            stats_.portfolioRaces++;
-        if (r.portfolioWinner > 0)
-            stats_.portfolioChallengerWins++;
         if (r.engineRaced)
             stats_.engineRaces++;
         // Per-engine win attribution: only verdicts *solved* this run
@@ -1320,10 +1072,6 @@ Engine::drain()
             stats_.unboundedProofs++;
         stats_.pdrFrames += r.pdrFrames;
         stats_.pdrObligations += r.pdrObligations;
-        stats_.sharedExported += r.sharedExported;
-        stats_.sharedImported += r.sharedImported;
-        stats_.preprocessVarsEliminated += r.preprocessVarsEliminated;
-        stats_.preprocessClausesRemoved += r.preprocessClausesRemoved;
         stats_.inprocessRuns += r.inprocessRuns;
         stats_.inprocessClausesRemoved += r.inprocessClausesRemoved;
     };
@@ -1337,61 +1085,54 @@ Engine::drain()
                 eopts_.engine == EngineChoice::KInduction);
     };
 
-    if (jobs_ == 1) {
-        // Reference path: fresh solver + unroller per query, exactly
-        // the classic checkProperty() behavior.
-        for (size_t i = 0; i < batch.size(); i++) {
-            if (done[i])
-                continue;
-            results[i] = proofOnly(batch[i])
-                             ? runProofEngine(batch[i])
-                             : runFresh(batch[i]);
-            postProcess(i, batch[i], results[i]);
-            stats_.contexts++;
-        }
-        for (const CheckResult &r : results)
-            accumulate(r);
-        return results;
-    }
+    std::vector<size_t> todo;
+    for (size_t i = 0; i < batch.size(); i++)
+        if (!done[i])
+            todo.push_back(i);
 
-    // The netlist's lazy topological order is computed by the first
-    // caller and cached in a mutable member; force it here, once, on
-    // this thread, so the workers only ever read it.
-    nl_.validate();
-
-    if (!pool_) {
-        pool_ = std::make_unique<ThreadPool>(jobs_);
-        workers_.clear();
-        for (unsigned w = 0; w < jobs_; w++)
-            workers_.push_back(std::make_unique<Worker>());
-    }
-
+    // A batch the journal and cache answered in full starts no
+    // threads: the pool and its workers are built on first need.
     std::vector<std::exception_ptr> errors(batch.size());
-    for (size_t i = 0; i < batch.size(); i++) {
-        if (done[i])
-            continue;
-        pool_->submit([this, &batch, &results, &errors, i,
-                       &proofOnly](unsigned w) {
-            try {
-                results[i] = proofOnly(batch[i])
-                                 ? runProofEngine(batch[i])
-                                 : runIncremental(*workers_[w],
-                                                  batch[i]);
-                postProcess(i, batch[i], results[i]);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
-        });
-    }
-    pool_->wait();
+    if (!todo.empty()) {
+        // The netlist's lazy topological order is computed by the
+        // first caller and cached in a mutable member; force it here,
+        // once, on this thread, so the workers only ever read it.
+        nl_.validate();
 
-    stats_.contexts = 0;
-    stats_.contextsSeeded = 0;
-    for (const auto &w : workers_) {
-        stats_.contexts += w->contexts_built;
-        stats_.contextsSeeded += w->contexts_seeded;
+        if (!pool_) {
+            pool_ = std::make_unique<ThreadPool>(jobs_);
+            for (unsigned w = 0; w < jobs_; w++)
+                workers_.push_back(std::make_unique<Worker>());
+        }
+
+        // Workers claim queries in enqueue order, so one worker solves
+        // the batch front to back, deterministically.
+        std::atomic<size_t> next{0};
+        auto claimLoop = [&](unsigned w) {
+            for (size_t k; (k = next.fetch_add(1)) < todo.size();) {
+                size_t i = todo[k];
+                try {
+                    results[i] = proofOnly(batch[i])
+                                     ? runProofEngine(batch[i])
+                                     : runIncremental(*workers_[w],
+                                                      batch[i]);
+                    postProcess(i, batch[i], results[i]);
+                } catch (...) {
+                    errors[i] = std::current_exception();
+                }
+            }
+        };
+        for (size_t w = 0; w < std::min<size_t>(jobs_, todo.size()); w++)
+            pool_->submit(claimLoop);
+        pool_->wait();
+
+        stats_.contexts = 0;
+        stats_.contextsSeeded = 0;
+        for (const auto &w : workers_) {
+            stats_.contexts += w->contexts_built;
+            stats_.contextsSeeded += w->contexts_seeded;
+        }
     }
-    stats_.steals = pool_->steals();
     for (const CheckResult &r : results)
         accumulate(r);
 

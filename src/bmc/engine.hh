@@ -6,7 +6,7 @@
  * HBI-hypothesis SVAs onto JasperGold's multi-engine proof farm; this
  * engine is our stand-in. A batch of property queries against one
  * (netlist, unroll options) pair is enqueued and evaluated on a
- * work-stealing thread pool. Two levers make this fast:
+ * thread pool. Two levers make this fast:
  *
  *  - parallelism: queries run concurrently across workers;
  *  - incrementality: each worker keeps one long-lived PropCtx
@@ -18,9 +18,10 @@
  *    clauses carry over between queries for free.
  *
  * Results come back in enqueue order regardless of completion order,
- * so callers see deterministic output. jobs=1 falls back to the
- * classic sequential path (a fresh solver per query), which is the
- * reference behavior the parallel path must match verdict-for-verdict.
+ * so callers see deterministic output. Every jobs value runs this one
+ * path; jobs=1 is a pool with one worker and one context per bound.
+ * The fresh-context checkProperty() stays the reference oracle: it
+ * backs the proof re-checks of ValidateMode::Full and quarantine.
  */
 
 #ifndef R2U_BMC_ENGINE_HH
@@ -154,43 +155,6 @@ struct EngineOptions
     std::function<void(const Query &, CheckResult &, SolveStage)>
         faultHook;
 
-    // --- SAT portfolio (parallel incremental path only) ---
-    /**
-     * Race each query across diversified solver configurations: the
-     * worker's incumbent incremental context plus portfolioRacers-1
-     * fresh challengers solving a snapshot of the same CNF (identical
-     * variable numbering) under the same activation assumption. The
-     * first definitive verdict wins and interrupts the rest.
-     * Verdicts are race-independent — every racer decides the same
-     * formula — so the synthesized model stays bit-identical at any
-     * jobs count whether or not the portfolio is on. Ignored on the
-     * jobs=1 reference path.
-     */
-    bool portfolio = false;
-    /** Total racers per query (incumbent + challengers), min 2. */
-    unsigned portfolioRacers = 3;
-    /**
-     * Cross-racer learnt-clause sharing through a bounded pool: every
-     * racer publishes low-LBD learnts and imports the others' at
-     * restart boundaries. All racers decide the same clause database,
-     * so shared learnts are implicates of it and sound in either
-     * direction. Off: racers search independently (fully deterministic
-     * per-racer search).
-     */
-    bool shareClauses = true;
-    /**
-     * CNF simplification: periodic in-search simplifyDB() passes in
-     * every solver, plus SatELite-style preprocessing (bounded variable
-     * elimination + subsumption, with model reconstruction) of each
-     * portfolio challenger's snapshot. Off (--no-inprocess): solvers
-     * search the raw CNF.
-     */
-    bool inprocess = true;
-    /** Base solver configuration for every context (restart policy,
-     *  reduction ranking, ...). inprocess=false zeroes its
-     *  inprocessPeriod. */
-    sat::SolverConfig solverConfig;
-
     /**
      * Proof-engine selection for frame-local queries (see
      * EngineChoice). The default races IC3/PDR and k-induction against
@@ -255,7 +219,7 @@ struct Query
 struct EngineStats
 {
     uint64_t queries = 0;
-    /** Incremental contexts built (== transition-relation unrolls). */
+    /** Incremental contexts built (one per worker per bound). */
     uint64_t contexts = 0;
     /**
      * Contexts warm-started from a sibling's bit-blasted CNF
@@ -263,7 +227,6 @@ struct EngineStats
      * relation from the netlist.
      */
     uint64_t contextsSeeded = 0;
-    uint64_t steals = 0;
     /** Sum of per-query CNF growth across the batch(es). */
     uint64_t cnfVarsAdded = 0;
     uint64_t cnfClausesAdded = 0;
@@ -301,19 +264,7 @@ struct EngineStats
     /** Total validation wall time (replays + re-checks + policy). */
     double validateSeconds = 0.0;
 
-    // --- SAT portfolio / simplification (see EngineOptions) ---
-    /** Queries that ran a portfolio race. */
-    uint64_t portfolioRaces = 0;
-    /** Races a challenger (not the incumbent) won. */
-    uint64_t portfolioChallengerWins = 0;
-    /** Learnt clauses published to race pools across the batch(es). */
-    uint64_t sharedExported = 0;
-    /** Learnt clauses imported from race pools. */
-    uint64_t sharedImported = 0;
-    /** Variables eliminated by challenger CNF preprocessing. */
-    uint64_t preprocessVarsEliminated = 0;
-    /** Clauses dropped by challenger CNF preprocessing. */
-    uint64_t preprocessClausesRemoved = 0;
+    // --- inprocessing ---
     /** In-search simplifyDB() passes across all queries. */
     uint64_t inprocessRuns = 0;
     /** Clauses removed by those passes. */
@@ -390,7 +341,6 @@ class Engine
     struct Worker;
 
     CheckResult runIncremental(Worker &worker, const Query &query);
-    CheckResult runFresh(const Query &query);
     /**
      * Single-engine KInduction/Pdr path for a frame-local query
      * (EngineOptions::engine). PDR refutations are concretized through
@@ -398,18 +348,6 @@ class Engine
      * machinery — replay, VCD, quarantine — works unchanged.
      */
     CheckResult runProofEngine(const Query &query);
-    /**
-     * Race the incumbent context against diversified challengers on a
-     * snapshot of its CNF (one attempt, under @p limits). Returns the
-     * first definitive result (the incumbent's honest Unknown when
-     * nobody wins) and fills the portfolio counters of @p result. A
-     * SAT-winning challenger's model is adopted into the incumbent so
-     * extractTrace() works unchanged.
-     */
-    sat::Result racePortfolio(PropCtx &ctx, const SolveLimits &limits,
-                              CheckResult &result);
-    /** Diversified config for challenger @p racer (1-based). */
-    sat::SolverConfig challengerConfig(unsigned racer) const;
     void fillCoiStats(const Query &query, CheckResult &result) const;
 
     /**
@@ -489,8 +427,6 @@ class Engine
     unsigned bound_;
     EngineOptions eopts_;
     unsigned jobs_;
-    /** eopts_.solverConfig with the inprocess switch folded in. */
-    sat::SolverConfig base_config_;
 
     std::atomic<bool> cancel_{false};
     bool has_total_deadline_ = false;
@@ -498,6 +434,7 @@ class Engine
 
     std::vector<Query> batch_;
     std::vector<std::unique_ptr<Worker>> workers_;
+    /** Built by the first drain() with a query left to solve. */
     std::unique_ptr<ThreadPool> pool_;
     EngineStats stats_;
 

@@ -33,6 +33,8 @@ constexpr size_t kHeaderSize = 4 + sizeof(uint32_t) + sizeof(uint64_t);
 constexpr size_t kFixedPayload = 8 + 8 + 4 + 4 + 4 + 8 + 8 + 8 + 4;
 constexpr uint8_t kFlagValidated = 0x01;
 constexpr uint8_t kFlagUnbounded = 0x02;
+/** VerdictSource byte of the removed SAT portfolio (see checker.hh). */
+constexpr uint8_t kRetiredPortfolioSource = 9;
 
 uint64_t
 fnv1a(const uint8_t *data, size_t n, uint64_t h = 14695981039346656037ull)
@@ -147,7 +149,11 @@ decodePayload(const uint8_t *data, size_t n, Journal::Record &rec)
     if (n != kFixedPayload + name_len)
         return false;
     rec.verdict = static_cast<Verdict>(verdict);
-    rec.source = static_cast<VerdictSource>(source);
+    // Byte 9 is the retired SAT-portfolio source: a definite verdict,
+    // validated like any other, so it loads as a first-attempt solve.
+    rec.source = source == kRetiredPortfolioSource
+                     ? VerdictSource::Solve
+                     : static_cast<VerdictSource>(source);
     rec.validated = (flags & kFlagValidated) != 0;
     rec.unbounded = (flags & kFlagUnbounded) != 0;
     rec.name.assign(reinterpret_cast<const char *>(p), name_len);

@@ -587,8 +587,6 @@ Pdr::run()
 {
     Timer timer;
     sat::Solver &solver = ctx_.solver();
-    if (popts_.limits.config)
-        solver.setConfig(*popts_.limits.config);
     solver.setExternalInterrupt(popts_.limits.cancel);
     if (popts_.limits.seconds >= 0) {
         has_deadline_ = true;

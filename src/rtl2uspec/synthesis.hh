@@ -87,11 +87,10 @@ struct SynthesisOptions
 {
     /**
      * Worker count for SVA evaluation (the paper's proof-farm
-     * dimension): 0 picks std::thread::hardware_concurrency(); 1 is
-     * the classic sequential path (fresh solver per SVA); >= 2 runs
-     * the parallel engine with per-worker incremental solver
-     * contexts. Verdicts and the emitted model are identical either
-     * way.
+     * dimension): 0 picks std::thread::hardware_concurrency().
+     * Every value runs the same engine with per-worker incremental
+     * solver contexts; verdicts and the emitted model are identical
+     * at any count.
      */
     unsigned jobs = 0;
     /**
@@ -123,15 +122,6 @@ struct SynthesisOptions
     unsigned maxRetries = 3;
 
     /**
-     * Race each SVA query across portfolioRacers diversified solver
-     * configurations; first definitive verdict wins and interrupts
-     * the rest (--portfolio). Verdicts and the emitted model are
-     * identical to the single-config path. Ignored on jobs == 1.
-     */
-    bool portfolio = false;
-    /** Solver configs per race (incumbent + N-1 challengers). */
-    unsigned portfolioRacers = 3;
-    /**
      * Proof-engine selection (--engine {bmc,kind,pdr,race}). The
      * default races IC3/PDR and k-induction challengers against the
      * incremental BMC solve of every frame-local query; the first
@@ -143,19 +133,6 @@ struct SynthesisOptions
      * frame-local always fall back to plain BMC.
      */
     bmc::EngineChoice engine = bmc::EngineChoice::Race;
-    /**
-     * Exchange low-LBD learnt clauses between portfolio racers at
-     * restart boundaries (--share-clauses / --no-share-clauses).
-     */
-    bool shareClauses = true;
-    /**
-     * CNF pre/inprocessing: bounded variable elimination,
-     * subsumption and self-subsuming resolution on sliced query
-     * CNFs, repeated at restart boundaries (--no-inprocess turns it
-     * off). Models are reconstructed to full assignments, so
-     * counterexample replay sees every original variable.
-     */
-    bool inprocess = true;
 
     /**
      * Trust-but-verify verdict validation (bmc::ValidateMode): the
@@ -224,10 +201,7 @@ struct SynthesisResult
     /** Mean per-query solver CNF size across all SVAs. */
     double meanCnfVars = 0.0;
     double meanCnfClauses = 0.0;
-    /**
-     * Transition-relation unrolls built: one per SVA on the
-     * sequential path, one per worker per bound on the parallel path.
-     */
+    /** Transition-relation unrolls built: one per worker per bound. */
     uint64_t unrollContexts = 0;
     /**
      * Of those, contexts warm-started by cloning the first worker's
@@ -267,13 +241,6 @@ struct SynthesisResult
     /** Verdicts durably appended to the cache this run. */
     uint64_t cacheAppends = 0;
 
-    // --- portfolio + CNF simplification accounting (run level) ---
-    /** True when queries raced diversified solver configs. */
-    bool portfolio = false;
-    uint64_t portfolioRaces = 0;
-    /** Races a challenger config won (vs. the incumbent). */
-    uint64_t portfolioChallengerWins = 0;
-
     // --- proof-engine race accounting (run level) ---
     /** Resolved --engine mode ("bmc", "kind", "pdr", "race"). */
     std::string engineMode = "race";
@@ -288,12 +255,6 @@ struct SynthesisResult
     /** PDR work totals across winning and completed PDR runs. */
     uint64_t pdrFrames = 0;
     uint64_t pdrObligations = 0;
-    /** Learnt clauses published to / imported from the shared pool. */
-    uint64_t sharedExported = 0;
-    uint64_t sharedImported = 0;
-    /** Preprocessing totals over portfolio challenger CNFs. */
-    uint64_t preprocessVarsEliminated = 0;
-    uint64_t preprocessClausesRemoved = 0;
     /** Inprocessing passes inside incremental solver contexts. */
     uint64_t inprocessRuns = 0;
     uint64_t inprocessClausesRemoved = 0;

@@ -4,8 +4,6 @@
 #include <chrono>
 
 #include "common/logging.hh"
-#include "sat/share.hh"
-#include "sat/simplify.hh"
 
 namespace r2u::sat
 {
@@ -30,29 +28,12 @@ Solver::Solver()
 
 Solver::~Solver() = default;
 
-uint64_t
-Solver::nextRandom()
-{
-    // xorshift64*; lazily seeded so setConfig() can run after ctor.
-    if (rng_state_ == 0)
-        rng_state_ = cfg_.seed ^ 0x9E3779B97F4A7C15ull;
-    rng_state_ ^= rng_state_ << 13;
-    rng_state_ ^= rng_state_ >> 7;
-    rng_state_ ^= rng_state_ << 17;
-    return rng_state_;
-}
-
 Var
 Solver::newVar()
 {
     Var v = numVars();
     assigns_.push_back(LBool::Undef);
-    // Default phase: assign false first; Rand diversifies the initial
-    // phase only — once assigned, phase saving takes over as usual.
-    bool neg_first = true;
-    if (cfg_.polarity == SolverConfig::Polarity::Rand)
-        neg_first = (nextRandom() & 1) != 0;
-    polarity_.push_back(neg_first);
+    polarity_.push_back(true); // decide false first, then phase saving
     activity_.push_back(0.0);
     heap_pos_.push_back(-1);
     reason_.push_back(-1);
@@ -78,8 +59,6 @@ Solver::addClause(std::vector<Lit> lits)
     Lit prev = kLitUndef;
     for (Lit l : lits) {
         R2U_ASSERT(var(l) >= 0 && var(l) < numVars(), "bad literal");
-        R2U_ASSERT(!isEliminated(var(l)),
-                   "addClause on eliminated variable %d", var(l));
         if (value(l) == LBool::True || l == ~prev)
             return true; // satisfied or tautology
         if (value(l) != LBool::False && l != prev) {
@@ -272,16 +251,8 @@ Solver::analyze(int confl, std::vector<Lit> &out_learnt,
     do {
         R2U_ASSERT(confl != -1, "no reason in analyze");
         Clause c = clause(confl);
-        if (c.learnt()) {
+        if (c.learnt())
             claBumpActivity(c);
-            // Glucose's update-on-use: a learnt clause involved in a
-            // new conflict re-measures its glue; keep the smaller.
-            if (c.lbd() > cfg_.glueLbd) {
-                uint32_t nl = computeLbd(c.lits(), c.size());
-                if (nl < c.lbd())
-                    c.setLbd(nl);
-            }
-        }
         for (uint32_t j = (p == kLitUndef) ? 0 : 1; j < c.size();
              j++) {
             Lit q = c[j];
@@ -405,7 +376,7 @@ Solver::cancelUntil(int level)
          i >= trail_lim_[level]; i--) {
         Var x = var(trail_[i]);
         assigns_[x] = LBool::Undef;
-        if (heap_pos_[x] < 0 && !isEliminated(x))
+        if (heap_pos_[x] < 0)
             heapInsert(x);
     }
     qhead_ = static_cast<size_t>(trail_lim_[level]);
@@ -479,30 +450,10 @@ Solver::heapRemoveMax()
 Lit
 Solver::pickBranchLit()
 {
-    auto decideSign = [&](Var v) -> bool {
-        switch (cfg_.polarity) {
-          case SolverConfig::Polarity::False: return true;
-          case SolverConfig::Polarity::True: return false;
-          case SolverConfig::Polarity::Saved:
-          case SolverConfig::Polarity::Rand: return polarity_[v];
-        }
-        return polarity_[v];
-    };
-    if (cfg_.randomFreq > 0.0 && !heap_.empty()) {
-        double r =
-            (nextRandom() >> 11) * (1.0 / 9007199254740992.0);
-        if (r < cfg_.randomFreq) {
-            Var v = heap_[nextRandom() % heap_.size()];
-            if (value(v) == LBool::Undef && !isEliminated(v)) {
-                stats_.randomDecisions++;
-                return mkLit(v, decideSign(v));
-            }
-        }
-    }
     while (!heapEmpty()) {
         Var v = heapRemoveMax();
-        if (value(v) == LBool::Undef && !isEliminated(v))
-            return mkLit(v, decideSign(v));
+        if (value(v) == LBool::Undef)
+            return mkLit(v, polarity_[v]);
     }
     return kLitUndef;
 }
@@ -532,32 +483,13 @@ Solver::reduceDB()
         else
             removable.push_back(cref);
     }
-    if (cfg_.lbdReduce) {
-        // Victims first: high glue, then low activity; tie-break on
-        // clause index for determinism. Glue clauses (lbd <= glueLbd)
-        // naturally sort to the very end, so they are only evicted
-        // when the database consists of little else — an absolute
-        // exemption would let them accumulate without bound and choke
-        // propagation on small, conflict-dense instances.
-        std::sort(removable.begin(), removable.end(),
-                  [&](int a, int b) {
-                      const Clause ca = clause(a);
-                      const Clause cb = clause(b);
-                      if (ca.lbd() != cb.lbd())
-                          return ca.lbd() > cb.lbd();
-                      if (ca.activity() != cb.activity())
-                          return ca.activity() < cb.activity();
-                      return a < b;
-                  });
-    } else {
-        std::sort(removable.begin(), removable.end(),
-                  [&](int a, int b) {
-                      if (clause(a).activity() != clause(b).activity())
-                          return clause(a).activity() <
-                                 clause(b).activity();
-                      return a < b;
-                  });
-    }
+    // Victims first: low activity; tie-break on clause index for
+    // determinism.
+    std::sort(removable.begin(), removable.end(), [&](int a, int b) {
+        if (clause(a).activity() != clause(b).activity())
+            return clause(a).activity() < clause(b).activity();
+        return a < b;
+    });
     size_t nremove = removable.size() / 2;
     for (size_t i = 0; i < nremove; i++) {
         int cref = removable[i];
@@ -698,24 +630,6 @@ Solver::luby(int64_t x)
     return 1ll << seq;
 }
 
-bool
-Solver::restartDue(int64_t conflicts_here,
-                   int64_t conflicts_before_restart) const
-{
-    if (cfg_.restart == SolverConfig::Restart::Luby)
-        return conflicts_here >= conflicts_before_restart;
-    // Glucose: the recent-conflict LBD window runs hotter than the
-    // all-time average -> the solver is lost, restart.
-    if (lbd_window_filled_ < cfg_.glucoseWindow ||
-        lbd_total_count_ == 0)
-        return false;
-    double recent = static_cast<double>(lbd_window_sum_) /
-                    static_cast<double>(cfg_.glucoseWindow);
-    double global = static_cast<double>(lbd_total_sum_) /
-                    static_cast<double>(lbd_total_count_);
-    return recent > cfg_.glucoseMargin * global;
-}
-
 Result
 Solver::search(int64_t conflicts_before_restart)
 {
@@ -740,27 +654,6 @@ Solver::search(int64_t conflicts_before_restart)
             stats_.lbdSum += lbd;
             if (lbd <= cfg_.glueLbd)
                 stats_.glueClauses++;
-            lbd_total_sum_ += lbd;
-            lbd_total_count_++;
-            if (!lbd_window_.empty()) {
-                if (lbd_window_filled_ <
-                    static_cast<uint64_t>(lbd_window_.size())) {
-                    lbd_window_sum_ += lbd;
-                    lbd_window_filled_++;
-                } else {
-                    lbd_window_sum_ +=
-                        lbd - lbd_window_[lbd_window_next_];
-                }
-                lbd_window_[lbd_window_next_] = lbd;
-                lbd_window_next_ =
-                    (lbd_window_next_ + 1) % lbd_window_.size();
-            }
-
-            if (share_pool_ && cfg_.shareLbdMax != 0 &&
-                lbd <= cfg_.shareLbdMax && learnt.size() <= 64) {
-                if (share_pool_->publish(share_self_, lbd, learnt))
-                    stats_.sharedExported++;
-            }
 
             if (learnt.size() == 1) {
                 uncheckedEnqueue(learnt[0], -1);
@@ -776,14 +669,9 @@ Solver::search(int64_t conflicts_before_restart)
             varDecayActivity();
             cla_inc_ /= cfg_.claDecay;
         } else {
-            if (restartDue(conflicts_here, conflicts_before_restart)) {
+            if (conflicts_here >= conflicts_before_restart) {
                 cancelUntil(0);
                 stats_.restarts++;
-                // A fresh span must refill the window before it can
-                // trigger the Glucose criterion again.
-                lbd_window_filled_ = 0;
-                lbd_window_sum_ = 0;
-                lbd_window_next_ = 0;
                 return Result::Unknown;
             }
             StopReason stop = stopCheck();
@@ -792,21 +680,8 @@ Solver::search(int64_t conflicts_before_restart)
                 cancelUntil(0);
                 return Result::Unknown;
             }
-            bool reduce_due;
-            if (cfg_.lbdReduce && cfg_.maxLearntsOverride <= 0.0)
-                reduce_due =
-                    !learnts_.empty() &&
-                    conflicts_this_solve_ - conflicts_at_last_reduce_ >=
-                        cfg_.reduceFirst +
-                            cfg_.reduceInc * reduces_this_solve_;
-            else
-                reduce_due = static_cast<double>(learnts_.size()) >=
-                             max_learnts_;
-            if (reduce_due) {
+            if (static_cast<double>(learnts_.size()) >= max_learnts_)
                 reduceDB();
-                reduces_this_solve_++;
-                conflicts_at_last_reduce_ = conflicts_this_solve_;
-            }
 
             // Establish assumptions, then decide.
             Lit next = kLitUndef;
@@ -863,83 +738,6 @@ Solver::stopCheck()
     return StopReason::None;
 }
 
-void
-Solver::setShare(ClausePool *pool, unsigned self, Lit import_guard)
-{
-    share_pool_ = pool;
-    share_self_ = self;
-    share_guard_ = import_guard;
-}
-
-bool
-Solver::importClause(const std::vector<Lit> &lits_in, uint32_t lbd)
-{
-    R2U_ASSERT(decisionLevel() == 0, "import above root level");
-    std::vector<Lit> lits;
-    lits.reserve(lits_in.size() + 1);
-    for (Lit l : lits_in) {
-        R2U_ASSERT(var(l) >= 0 && var(l) < numVars(),
-                   "imported literal out of range");
-        // A preprocessed racer dropped this variable's defining
-        // clauses; re-introducing it is sound but pointless.
-        if (isEliminated(var(l)))
-            return false;
-        // Guarded import of a clause already containing ~guard would
-        // be a tautology.
-        if (share_guard_ != kLitUndef && l == ~share_guard_)
-            return false;
-        if (l == share_guard_)
-            continue; // guard re-added below
-        LBool v = value(l);
-        if (v == LBool::True)
-            return false; // satisfied at level 0 already
-        if (v == LBool::False)
-            continue;
-        lits.push_back(l);
-    }
-    if (share_guard_ != kLitUndef) {
-        if (value(share_guard_) == LBool::True)
-            return false;
-        if (value(share_guard_) != LBool::False)
-            lits.push_back(share_guard_);
-    }
-    if (lits.empty()) {
-        ok_ = false;
-        return false;
-    }
-    if (lits.size() == 1) {
-        uncheckedEnqueue(lits[0], -1);
-        stats_.sharedImported++;
-        stats_.sharedImportedUnits++;
-        return true;
-    }
-    int cref =
-        allocClause(lits.data(), static_cast<uint32_t>(lits.size()),
-                    true, lbd, static_cast<float>(cla_inc_));
-    crefs_.push_back(cref);
-    learnts_.push_back(cref);
-    attachClause(cref);
-    stats_.sharedImported++;
-    return true;
-}
-
-bool
-Solver::exchangeClauses()
-{
-    std::vector<ClausePool::Entry> in;
-    share_pool_->collect(share_self_, in);
-    for (const auto &e : in) {
-        importClause(e.lits, e.lbd);
-        if (!ok_)
-            return false;
-    }
-    if (propagate() != -1) {
-        ok_ = false;
-        return false;
-    }
-    return true;
-}
-
 Result
 Solver::solve(const std::vector<Lit> &assumptions)
 {
@@ -951,14 +749,9 @@ Solver::solve(const std::vector<Lit> &assumptions)
     stop_reason_ = StopReason::None;
     if (!ok_)
         return Result::Unsat;
-    for (Lit a : assumptions)
-        R2U_ASSERT(!isEliminated(var(a)),
-                   "assumption on eliminated variable %d", var(a));
     assumptions_ = assumptions;
     conflicts_this_solve_ = 0;
     propagations_this_solve_ = 0;
-    reduces_this_solve_ = 0;
-    conflicts_at_last_reduce_ = 0;
     has_deadline_ = deadline_seconds_ >= 0.0;
     if (has_deadline_) {
         deadline_point_ =
@@ -973,12 +766,6 @@ Solver::solve(const std::vector<Lit> &assumptions)
             ? cfg_.maxLearntsOverride
             : std::max<double>(
                   static_cast<double>(crefs_.size()) / 3.0, 1000.0);
-    lbd_window_.assign(cfg_.glucoseWindow, 0);
-    lbd_window_next_ = 0;
-    lbd_window_filled_ = 0;
-    lbd_window_sum_ = 0;
-    lbd_total_sum_ = 0;
-    lbd_total_count_ = 0;
 
     // Root facts added since the last inprocessing pass (an
     // incremental caller retiring a query with a unit ~act, or units
@@ -1000,21 +787,13 @@ Solver::solve(const std::vector<Lit> &assumptions)
     Result status = Result::Unknown;
     int64_t restart = 0;
     while (status == Result::Unknown) {
-        int64_t budget =
-            cfg_.restart == SolverConfig::Restart::Luby
-                ? luby(restart++) * cfg_.lubyUnit
-                : INT64_MAX;
-        status = search(budget);
+        status = search(luby(restart++) * cfg_.lubyUnit);
         if (status != Result::Unknown)
             break;
         if (stop_reason_ != StopReason::None)
             break;
         // Restart boundary, back at level 0: the deterministic point
-        // for clause import and database inprocessing.
-        if (share_pool_ && !exchangeClauses()) {
-            status = Result::Unsat;
-            break;
-        }
+        // for database inprocessing.
         if (cfg_.inprocessPeriod != 0 &&
             ++restarts_since_simplify_ >= cfg_.inprocessPeriod) {
             restarts_since_simplify_ = 0;
@@ -1026,9 +805,6 @@ Solver::solve(const std::vector<Lit> &assumptions)
         }
     }
     if (status == Result::Sat) {
-        if (reconstruction_ && !reconstruction_->records().empty())
-            Simplifier::extendModel(model_,
-                                    reconstruction_->records());
         for (auto &m : model_)
             if (m == LBool::Undef)
                 m = LBool::False;
@@ -1036,101 +812,6 @@ Solver::solve(const std::vector<Lit> &assumptions)
     cancelUntil(0);
     assumptions_.clear();
     return status;
-}
-
-bool
-Solver::preprocess(const SimplifyOptions &options,
-                   const std::vector<Var> &frozen)
-{
-    R2U_ASSERT(decisionLevel() == 0, "preprocess above root level");
-    if (!ok_)
-        return false;
-    if (propagate() != -1) {
-        ok_ = false;
-        return false;
-    }
-    auto t0 = std::chrono::steady_clock::now();
-
-    Simplifier simp(numVars(), options);
-    for (Var v : frozen)
-        simp.freeze(v);
-    for (Lit l : trail_)
-        simp.addClause({l});
-    for (int cref : crefs_) {
-        const Clause c = clause(cref);
-        if (c.deleted() || c.learnt())
-            continue;
-        simp.addClause(std::vector<Lit>(c.begin(), c.end()));
-    }
-    bool sat_possible = simp.run();
-    stats_.preprocessRuns++;
-    stats_.preprocessSeconds +=
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    if (!sat_possible) {
-        ok_ = false;
-        return false;
-    }
-    stats_.preprocessVarsEliminated += simp.stats().varsEliminated;
-    stats_.preprocessClausesRemoved += simp.stats().clausesRemoved;
-
-    // Rebuild the solver database from the simplified CNF.
-    uint64_t added_before = added_clauses_;
-    arena_.clear();
-    crefs_.clear();
-    learnts_.clear();
-    for (auto &ws : watches_)
-        ws.clear();
-    trail_.clear();
-    trail_lim_.clear();
-    qhead_ = 0;
-    std::fill(assigns_.begin(), assigns_.end(), LBool::Undef);
-    std::fill(reason_.begin(), reason_.end(), -1);
-    std::fill(level_.begin(), level_.end(), 0);
-    eliminated_.assign(static_cast<size_t>(numVars()), 0);
-    for (Var v = 0; v < numVars(); v++)
-        if (simp.isEliminated(v))
-            eliminated_[static_cast<size_t>(v)] = 1;
-
-    for (const auto &cl : simp.result()) {
-        if (!addClause(cl))
-            break;
-    }
-    added_clauses_ = added_before; // reporting: not new user clauses
-
-    // Eliminated variables must never be decided again.
-    heap_.clear();
-    std::fill(heap_pos_.begin(), heap_pos_.end(), -1);
-    for (Var v = 0; v < numVars(); v++)
-        if (!eliminated_[static_cast<size_t>(v)] &&
-            value(v) == LBool::Undef)
-            heapInsert(v);
-
-    if (!reconstruction_)
-        reconstruction_ = std::make_unique<Simplifier>();
-    reconstruction_->absorb(simp.takeRecords());
-    return ok_;
-}
-
-void
-Solver::exportCnf(std::vector<std::vector<Lit>> &out,
-                  bool include_learnts) const
-{
-    R2U_ASSERT(decisionLevel() == 0, "exportCnf above root level");
-    size_t root = trail_lim_.empty()
-                      ? trail_.size()
-                      : static_cast<size_t>(trail_lim_[0]);
-    for (size_t i = 0; i < root; i++)
-        out.push_back({trail_[i]});
-    for (int cref : crefs_) {
-        const Clause c = clause(cref);
-        if (c.deleted())
-            continue; // tombstone
-        if (c.learnt() && !include_learnts)
-            continue;
-        out.emplace_back(c.begin(), c.end());
-    }
 }
 
 void
@@ -1153,39 +834,21 @@ Solver::cloneFrom(const Solver &other)
     trail_lim_.clear();
     reason_ = other.reason_;
     level_ = other.level_;
-    eliminated_ = other.eliminated_;
     qhead_ = other.qhead_;
     seen_ = other.seen_;
     lbd_stamp_ = other.lbd_stamp_;
     lbd_stamp_gen_ = other.lbd_stamp_gen_;
-    rng_state_ = other.rng_state_;
     var_inc_ = other.var_inc_;
     cla_inc_ = other.cla_inc_;
     added_clauses_ = other.added_clauses_;
     trail_at_last_simplify_ = other.trail_at_last_simplify_;
-    if (other.reconstruction_ &&
-        !other.reconstruction_->records().empty()) {
-        reconstruction_ = std::make_unique<Simplifier>();
-        reconstruction_->absorb(other.reconstruction_->records());
-    } else {
-        reconstruction_.reset();
-    }
     // Per-solve transients start fresh: budgets, deadline, interrupt
-    // wiring, shared pool, model, and statistics stay this solver's
-    // own.
+    // wiring, model, and statistics stay this solver's own.
     model_.clear();
     conflict_core_.clear();
     assumptions_.clear();
     stop_reason_ = StopReason::None;
     restarts_since_simplify_ = 0;
-}
-
-void
-Solver::adoptModel(std::vector<LBool> model)
-{
-    R2U_ASSERT(model.size() >= static_cast<size_t>(numVars()),
-               "adopted model does not cover the variable space");
-    model_ = std::move(model);
 }
 
 bool

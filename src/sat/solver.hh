@@ -9,20 +9,10 @@
  *
  * Features: two-watched-literal propagation, VSIDS decision heuristic
  * with an indexed max-heap, phase saving, first-UIP conflict analysis
- * with local clause minimization, Luby or Glucose (LBD-driven)
- * restarts, learnt-clause database reduction ranked by LBD/glue,
- * level-0 clause-database inprocessing between restarts, SatELite-style
- * CNF preprocessing (bounded variable elimination + subsumption, see
- * sat/simplify.hh) with full model reconstruction, and solving under
- * assumptions (used for incremental BMC).
- *
- * For the BMC engine's portfolio mode, diversified solver
- * configurations (SolverConfig: restart policy, polarity, random seed)
- * race on one query and exchange low-LBD learnt clauses through a
- * ClausePool (sat/share.hh): clauses are exported as they are learnt
- * and imported at restart boundaries, optionally guarded by a literal
- * so that clauses learnt under a query's activation assumption never
- * contaminate an incremental context's shared prefix.
+ * with local clause minimization, Luby restarts, activity-ranked
+ * learnt-clause database reduction, level-0 clause-database
+ * inprocessing between restarts, and solving under assumptions (used
+ * for incremental BMC).
  *
  * A solve() can be bounded by a conflict budget, a propagation budget,
  * and a wall-clock deadline (checked periodically), and stopped
@@ -40,7 +30,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 namespace r2u::sat
@@ -97,64 +86,16 @@ enum class StopReason : uint8_t {
 const char *stopReasonName(StopReason reason);
 
 /**
- * Per-solver search configuration. The default is the tuned
- * single-solver configuration; the BMC portfolio diversifies these
- * knobs across racers (restart policy, phase, random seed), and
- * --no-inprocess zeroes inprocessPeriod.
+ * Per-solver search configuration. Every solver in the system runs the
+ * defaults; the fields exist as test and bench seams.
  */
 struct SolverConfig
 {
-    enum class Restart : uint8_t {
-        Luby,   ///< classic Luby sequence scaled by lubyUnit
-        Glucose ///< dynamic: restart when recent LBDs run hot
-    };
-    enum class Polarity : uint8_t {
-        Saved, ///< phase saving (default-false before first flip)
-        False, ///< always decide false first
-        True,  ///< always decide true first
-        Rand   ///< random initial phase from `seed`, then saved
-    };
-
-    // Luby restarts with activity-ranked reduction are the robust
-    // baseline (measured over interrupted-then-resumed pigeonhole
-    // instances, LBD-ranked reduction inflates conflict counts by an
-    // order of magnitude on such combinatorial cores); the Glucose
-    // restart + LBD-reduction pairing stays available as a portfolio
-    // diversification.
-    Restart restart = Restart::Luby;
-    /** Luby policy: conflicts per restart = luby(i) * lubyUnit. */
+    /** Luby restarts: conflicts per restart = luby(i) * lubyUnit. */
     int64_t lubyUnit = 100;
-    /**
-     * Glucose policy: restart once the sliding window of the last
-     * glucoseWindow conflict LBDs averages more than glucoseMargin
-     * times the all-time average.
-     */
-    unsigned glucoseWindow = 50;
-    double glucoseMargin = 1.25;
 
-    Polarity polarity = Polarity::Saved;
-    /** Seed for the xorshift RNG behind Rand polarity / randomFreq. */
-    uint64_t seed = 0;
-    /** Fraction of decisions taken on a random variable (0 = off). */
-    double randomFreq = 0.0;
-
-    /** Learnt clauses with lbd <= glueLbd are never deleted. */
+    /** Learnt clauses with lbd <= glueLbd count as glue (statistics). */
     uint32_t glueLbd = 2;
-    /**
-     * Rank reduceDB() victims by LBD (glue) with activity as the
-     * tie-break; false restores the legacy activity-only ranking.
-     *
-     * LBD mode also switches the reduction *trigger* from the fixed
-     * learnt-count cap to Glucose's growing conflict interval
-     * (reduceFirst + reduceInc * reductions-so-far), which lets the
-     * database expand as the proof deepens instead of churning every
-     * few hundred conflicts at the initial cap.
-     */
-    bool lbdReduce = false;
-    /** Conflicts before the first LBD-mode reduction. */
-    int64_t reduceFirst = 2000;
-    /** Extra conflicts added to the interval per reduction. */
-    int64_t reduceInc = 300;
 
     /**
      * Run simplifyDB() — remove level-0-satisfied clauses and strip
@@ -163,22 +104,12 @@ struct SolverConfig
      */
     unsigned inprocessPeriod = 8;
 
-    /**
-     * Export learnt clauses with lbd <= shareLbdMax to the attached
-     * ClausePool (0 disables export; sharing also needs setShare()).
-     */
-    uint32_t shareLbdMax = 4;
-
     /** Test seam: fixed learnt-clause cap (0 = automatic sizing). */
     double maxLearntsOverride = 0.0;
 
     double varDecay = 0.95;
     double claDecay = 0.999;
 };
-
-class ClausePool;
-class Simplifier;
-struct SimplifyOptions;
 
 /** Aggregate search statistics, exposed for benches and logging. */
 struct SolverStats
@@ -192,25 +123,13 @@ struct SolverStats
 
     /** Sum of learnt-clause LBDs (mean glue = lbdSum / conflicts). */
     uint64_t lbdSum = 0;
-    /** Learnt clauses with lbd <= glueLbd (kept forever). */
+    /** Learnt clauses with lbd <= glueLbd. */
     uint64_t glueClauses = 0;
-    uint64_t randomDecisions = 0;
 
     // --- inprocessing (simplifyDB) ---
     uint64_t simplifyRuns = 0;
     uint64_t simplifyClausesRemoved = 0;
     uint64_t simplifyLitsRemoved = 0;
-
-    // --- preprocessing (sat/simplify.hh) ---
-    uint64_t preprocessRuns = 0;
-    uint64_t preprocessVarsEliminated = 0;
-    uint64_t preprocessClausesRemoved = 0;
-    double preprocessSeconds = 0.0;
-
-    // --- portfolio clause sharing ---
-    uint64_t sharedExported = 0;
-    uint64_t sharedImported = 0;
-    uint64_t sharedImportedUnits = 0;
 };
 
 class Solver
@@ -261,18 +180,10 @@ class Solver
     bool modelValue(Lit l) const { return modelValue(var(l)) ^ sign(l); }
 
     /**
-     * The complete model after a Sat result (empty otherwise). Every
-     * variable has a concrete value, including variables the
-     * preprocessor eliminated (reconstructed before solve() returns).
+     * The complete model after a Sat result (empty otherwise); every
+     * variable has a concrete value.
      */
     const std::vector<LBool> &model() const { return model_; }
-
-    /**
-     * Install a full model produced by another solver over the same
-     * variable space (a portfolio racer that won with Sat). The
-     * vector must cover numVars() variables.
-     */
-    void adoptModel(std::vector<LBool> model);
 
     /**
      * After an Unsat result under assumptions, the subset of assumptions
@@ -319,55 +230,10 @@ class Solver
     }
 
     /**
-     * Attach this solver to a portfolio clause pool as producer
-     * `self`. Learnt clauses with lbd <= config().shareLbdMax are
-     * exported; other producers' clauses are imported at restart
-     * boundaries. When `import_guard` is a real literal, every
-     * imported clause c is added as (import_guard OR c) — the BMC
-     * engine passes ~activation so that clauses a racer learnt under
-     * the query's activation assumption stay sound in the incremental
-     * context once the query retires. nullptr pool detaches.
-     */
-    void setShare(ClausePool *pool, unsigned self,
-                  Lit import_guard = kLitUndef);
-
-    /**
-     * SatELite-style preprocessing of the current clause database at
-     * level 0: unit propagation, subsumption + self-subsuming
-     * resolution, pure-literal and bounded variable elimination.
-     * Learnt clauses are dropped. Eliminated variables become
-     * undecidable but their model values are reconstructed on every
-     * Sat answer, so modelValue() stays complete.
-     *
-     * Only sound while the clause database is final: addClause() of a
-     * clause mentioning an eliminated variable afterwards is a checked
-     * error, and `frozen` lists variables that must survive (e.g.
-     * future assumption literals). Returns false if preprocessing
-     * proved the formula UNSAT.
-     */
-    bool preprocess(const SimplifyOptions &options,
-                    const std::vector<Var> &frozen = {});
-
-    bool isEliminated(Var v) const
-    {
-        return v < static_cast<int>(eliminated_.size()) &&
-               eliminated_[v] != 0;
-    }
-
-    /**
-     * Copy the clause database — level-0 facts, problem clauses, and
-     * (optionally) learnt clauses — into `out` as one clause per
-     * entry. The BMC portfolio uses this to seed racer solvers over
-     * the identical variable numbering.
-     */
-    void exportCnf(std::vector<std::vector<Lit>> &out,
-                   bool include_learnts = true) const;
-
-    /**
      * Become a copy of `other`: clause database (learnts included),
      * variable numbering, watch lists, level-0 trail, saved phases and
      * activities — everything but the transient per-solve state
-     * (budgets, deadline, interrupt wiring, shared pool, statistics).
+     * (budgets, deadline, interrupt wiring, statistics).
      * Orders of magnitude cheaper than re-adding the clauses one by
      * one because the watcher and heap structures are copied instead
      * of rebuilt. `other` must be idle at decision level 0 (between
@@ -470,8 +336,6 @@ class Solver
     void cancelUntil(int level);
     Lit pickBranchLit();
     Result search(int64_t conflicts_before_restart);
-    bool restartDue(int64_t conflicts_here,
-                    int64_t conflicts_before_restart) const;
     void reduceDB();
     uint32_t computeLbd(const Lit *lits, uint32_t n);
     uint32_t computeLbd(const std::vector<Lit> &lits)
@@ -483,10 +347,6 @@ class Solver
     /** Compact the arena, dropping tombstones (level 0 only; callers
      *  must rebuild watch lists — crefs are remapped). */
     void garbageCollect();
-    /** Pool import at a restart point; false on level-0 conflict. */
-    bool exchangeClauses();
-    bool importClause(const std::vector<Lit> &lits, uint32_t lbd);
-    uint64_t nextRandom();
 
     // --- VSIDS heap ---
     void heapInsert(Var v);
@@ -525,7 +385,6 @@ class Solver
     std::vector<int> trail_lim_;
     std::vector<int> reason_; // var -> clause ref or -1
     std::vector<int> level_;  // var -> decision level
-    std::vector<uint8_t> eliminated_; // var eliminated by preprocess()
     size_t qhead_ = 0;
 
     std::vector<Lit> assumptions_;
@@ -539,22 +398,9 @@ class Solver
     std::vector<uint64_t> lbd_stamp_; // per-level stamp for computeLbd
     uint64_t lbd_stamp_gen_ = 0;
 
-    // Glucose restart state: sliding window + all-time LBD average.
-    std::vector<uint32_t> lbd_window_;
-    size_t lbd_window_next_ = 0;
-    uint64_t lbd_window_filled_ = 0;
-    uint64_t lbd_window_sum_ = 0;
-    uint64_t lbd_total_sum_ = 0;
-    uint64_t lbd_total_count_ = 0;
-
-    uint64_t rng_state_ = 0;
-
     double var_inc_ = 1.0;
     double cla_inc_ = 1.0;
     double max_learnts_ = 0;
-    // Glucose-style reduction schedule (LBD mode), reset per solve().
-    int64_t reduces_this_solve_ = 0;
-    int64_t conflicts_at_last_reduce_ = 0;
 
     int64_t conflict_budget_ = -1;
     int64_t conflicts_this_solve_ = 0;
@@ -572,13 +418,6 @@ class Solver
     /** Level-0 trail size when simplifyDB() last ran (solve-entry
      *  trigger: new root facts mean satisfied clauses to collect). */
     size_t trail_at_last_simplify_ = 0;
-
-    ClausePool *share_pool_ = nullptr;
-    unsigned share_self_ = 0;
-    Lit share_guard_ = kLitUndef;
-
-    /** Reconstruction stack for preprocess()-eliminated variables. */
-    std::unique_ptr<Simplifier> reconstruction_;
 
     SolverStats stats_;
 

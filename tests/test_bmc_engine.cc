@@ -1,11 +1,14 @@
 /**
  * @file
- * Tests for the parallel + incremental BMC query engine: on random
- * netlists, the incremental-under-assumptions path (jobs >= 2, shared
- * per-worker solver contexts) must agree query-for-query with the
- * fresh-solver sequential path (jobs = 1); and on the multi-V-scale,
- * a full parallel synthesis run must reproduce the sequential run's
- * SVA records and µspec model exactly.
+ * Tests for the parallel + incremental BMC query engine. Every jobs
+ * value runs the same incremental-under-assumptions path (one
+ * long-lived solver context per worker per bound); the reference
+ * oracle is ValidateMode::Full, which replays every counterexample and
+ * re-solves every proof in a fresh, non-incremental context. On random
+ * netlists, a jobs = 1 engine under that oracle must report zero
+ * mismatches and agree query-for-query with a jobs = 3 engine; on the
+ * multi-V-scale, a parallel synthesis run must reproduce the
+ * one-worker run's SVA records and µspec model exactly.
  */
 
 #include <gtest/gtest.h>
@@ -94,6 +97,29 @@ enqueueQueries(bmc::Engine &engine, const RandomDesign &d,
     return want;
 }
 
+/** Drive random inputs through the simulator: stim[f] holds the
+ *  frame-f inputs, expect[f] the probe values they produce. */
+void
+simulateRandom(const RandomDesign &d, std::mt19937 &rng, unsigned frames,
+               std::vector<std::vector<Bits>> &stim,
+               std::vector<std::vector<Bits>> &expect)
+{
+    sim::Simulator sim(d.netlist);
+    stim.assign(frames, {});
+    expect.assign(frames, {});
+    for (unsigned f = 0; f < frames; f++) {
+        for (nl::CellId in : d.inputs) {
+            Bits v(d.netlist.cell(in).width,
+                   static_cast<uint64_t>(rng()));
+            sim.setInput(in, v);
+            stim[f].push_back(v);
+        }
+        for (nl::CellId p : d.probes)
+            expect[f].push_back(sim.value(p));
+        sim.step();
+    }
+}
+
 } // namespace
 
 class EngineRandomTest : public ::testing::TestWithParam<int>
@@ -105,25 +131,14 @@ TEST_P(EngineRandomTest, IncrementalMatchesFresh)
     std::mt19937 rng(4242 + GetParam());
     RandomDesign d = makeRandom(rng);
     const unsigned kFrames = 6;
-
-    sim::Simulator sim(d.netlist);
-    std::vector<std::vector<Bits>> stim(kFrames), expect(kFrames);
-    for (unsigned f = 0; f < kFrames; f++) {
-        for (nl::CellId in : d.inputs) {
-            Bits v(d.netlist.cell(in).width,
-                       static_cast<uint64_t>(rng()));
-            sim.setInput(in, v);
-            stim[f].push_back(v);
-        }
-        for (nl::CellId p : d.probes)
-            expect[f].push_back(sim.value(p));
-        sim.step();
-    }
+    std::vector<std::vector<Bits>> stim, expect;
+    simulateRandom(d, rng, kFrames, stim, expect);
 
     std::unordered_map<std::string, nl::CellId> empty_map;
 
     bmc::EngineOptions seq_opts;
     seq_opts.jobs = 1;
+    seq_opts.validate = bmc::ValidateMode::Full;
     bmc::Engine sequential(d.netlist, empty_map, {}, kFrames, seq_opts);
 
     bmc::EngineOptions par_opts;
@@ -142,11 +157,17 @@ TEST_P(EngineRandomTest, IncrementalMatchesFresh)
     for (size_t i = 0; i < want.size(); i++) {
         EXPECT_EQ(seq_results[i].verdict, want[i]) << "query " << i;
         EXPECT_EQ(par_results[i].verdict, want[i]) << "query " << i;
+        // The fresh-context oracle confirmed every incremental verdict.
+        EXPECT_TRUE(seq_results[i].validated) << "query " << i;
+        EXPECT_EQ(seq_results[i].validationMismatches, 0u)
+            << "query " << i;
         if (want[i] == bmc::Verdict::Refuted) {
             EXPECT_FALSE(seq_results[i].trace.toString().empty());
             EXPECT_FALSE(par_results[i].trace.toString().empty());
         }
     }
+    EXPECT_EQ(sequential.stats().validationMismatches, 0u);
+    EXPECT_EQ(sequential.stats().validationFailures, 0u);
     // The parallel engine shares unroll contexts: at most one per
     // worker here (single bound), never one per query.
     EXPECT_GE(parallel.stats().contexts, 1u);
@@ -164,6 +185,32 @@ TEST_P(EngineRandomTest, IncrementalMatchesFresh)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineRandomTest,
                          ::testing::Range(0, 6));
+
+TEST(BmcEngine, SingleJobServesBatchFromOneContext)
+{
+    // jobs = 1 is the pool with one worker: the whole single-bound
+    // batch shares one incremental context instead of building a
+    // fresh solver and unroller per query.
+    std::mt19937 rng(4242);
+    RandomDesign d = makeRandom(rng);
+    const unsigned kFrames = 4;
+    std::vector<std::vector<Bits>> stim, expect;
+    simulateRandom(d, rng, kFrames, stim, expect);
+
+    std::unordered_map<std::string, nl::CellId> empty_map;
+    bmc::EngineOptions opts;
+    opts.jobs = 1;
+    bmc::Engine engine(d.netlist, empty_map, {}, kFrames, opts);
+    auto want = enqueueQueries(engine, d, stim, expect, kFrames);
+    ASSERT_GT(want.size(), 1u);
+    auto results = engine.drain();
+    ASSERT_EQ(results.size(), want.size());
+    for (size_t i = 0; i < want.size(); i++)
+        EXPECT_EQ(results[i].verdict, want[i]) << "query " << i;
+    EXPECT_EQ(engine.jobs(), 1u);
+    EXPECT_EQ(engine.stats().contexts, 1u);
+    EXPECT_EQ(engine.stats().queries, want.size());
+}
 
 namespace
 {
@@ -233,13 +280,93 @@ TEST(BmcEngine, VscaleParallelSynthesisMatchesSequential)
 
     EXPECT_EQ(seq.jobs, 1u);
     EXPECT_EQ(par.jobs, 4u);
-    // Sequential: one fresh unroll per SVA. Parallel: one context per
-    // worker, shared across its queries.
-    EXPECT_EQ(seq.unrollContexts, seq.svas.size());
+    // One context per worker (every SVA runs at the metadata bound),
+    // shared across that worker's queries.
+    EXPECT_EQ(seq.unrollContexts, 1u);
     EXPECT_GE(par.unrollContexts, 1u);
     EXPECT_LE(par.unrollContexts, 4u);
 
     expectSameSynthesis(seq, par);
+}
+
+namespace
+{
+
+/** Per core: "the fetch register moves" (Refuted) and "the fetch PC
+ *  lands misaligned" (Proven), at a small bound. */
+std::vector<bmc::Verdict>
+enqueueVscaleQueries(bmc::Engine &engine,
+                     const rtl2uspec::DesignMetadata &md, unsigned bound)
+{
+    std::vector<bmc::Verdict> want;
+    for (const auto &core : md.cores) {
+        bmc::Query moves;
+        moves.name = core.prefix + "ifr_moves";
+        std::string ifr = core.ifr;
+        moves.prop = [ifr, bound](bmc::PropCtx &ctx) {
+            sat::Lit bad = ctx.cnf().falseLit();
+            for (unsigned f = 1; f < bound; f++)
+                bad = ctx.cnf().mkOr(bad, ctx.changedAt(f, ifr));
+            return bad;
+        };
+        moves.bound = bound;
+        engine.enqueue(std::move(moves));
+        want.push_back(bmc::Verdict::Refuted);
+
+        bmc::Query aligned;
+        aligned.name = core.prefix + "pc_aligned";
+        std::string pc = core.imPc;
+        aligned.prop = [pc, bound](bmc::PropCtx &ctx) {
+            return ctx.eqConst(bound - 1, pc, 2);
+        };
+        aligned.bound = bound;
+        engine.enqueue(std::move(aligned));
+        want.push_back(bmc::Verdict::Proven);
+    }
+    return want;
+}
+
+} // namespace
+
+TEST(BmcEngine, VscaleJobsOneFullValidationMatchesParallel)
+{
+    // Reference: one worker under ValidateMode::Full, so every
+    // counterexample replays through the simulator and every proof is
+    // re-solved in a fresh, non-incremental context.
+    constexpr unsigned kBound = 5;
+    auto design = vscale::elaborateVscale(formalConfig());
+    auto md = vscale::vscaleMetadata(formalConfig());
+
+    bmc::EngineOptions ref_opts;
+    ref_opts.jobs = 1;
+    ref_opts.validate = bmc::ValidateMode::Full;
+    bmc::Engine reference(*design.netlist, design.signalMap, {}, kBound,
+                          ref_opts);
+    bmc::EngineOptions par_opts;
+    par_opts.jobs = 2;
+    par_opts.validate = bmc::ValidateMode::Full;
+    bmc::Engine parallel(*design.netlist, design.signalMap, {}, kBound,
+                         par_opts);
+
+    auto want = enqueueVscaleQueries(reference, md, kBound);
+    ASSERT_EQ(want, enqueueVscaleQueries(parallel, md, kBound));
+    auto ref_res = reference.drain();
+    auto par_res = parallel.drain();
+    ASSERT_EQ(ref_res.size(), want.size());
+    ASSERT_EQ(par_res.size(), want.size());
+    for (size_t i = 0; i < want.size(); i++) {
+        EXPECT_EQ(ref_res[i].verdict, want[i]) << "query " << i;
+        EXPECT_EQ(par_res[i].verdict, want[i]) << "query " << i;
+        EXPECT_TRUE(ref_res[i].validated) << "query " << i;
+        EXPECT_TRUE(par_res[i].validated) << "query " << i;
+    }
+    for (const bmc::Engine *e : {&reference, &parallel}) {
+        EXPECT_EQ(e->stats().validationMismatches, 0u);
+        EXPECT_EQ(e->stats().validationFailures, 0u);
+        EXPECT_GT(e->stats().replays, 0u);
+        EXPECT_GT(e->stats().proofRechecks, 0u);
+    }
+    EXPECT_EQ(reference.stats().contexts, 1u);
 }
 
 namespace

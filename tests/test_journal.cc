@@ -16,6 +16,7 @@
 
 #include "bmc/journal.hh"
 #include "common/logging.hh"
+#include "store_frames.hh"
 
 using namespace r2u;
 namespace fs = std::filesystem;
@@ -159,6 +160,47 @@ TEST(Journal, RoundTripPersistsRecords)
     bmc::Journal j2;
     j2.open(path, kHash, /*resume=*/true);
     EXPECT_EQ(j2.numLoaded(), 3u);
+}
+
+// VerdictSource is stored as one byte. Records written by older builds
+// carry 9 (the retired SAT-portfolio source) and 10 (Race); both must
+// load, and none may cost the records after it.
+TEST(Journal, RetiredAndRaceSourceBytesLoad)
+{
+    std::string path = tempJournal("source_bytes.bin");
+    {
+        bmc::Journal j;
+        j.open(path, kHash, /*resume=*/false);
+        ASSERT_TRUE(j.isOpen());
+    }
+    const uint8_t proven = static_cast<uint8_t>(bmc::Verdict::Proven);
+    test::appendRawRecord(path, key("race_a", 5), proven, 10, "race_a",
+                          5);
+    test::appendRawRecord(path, key("portfolio_b", 5), proven, 9,
+                          "portfolio_b", 5);
+    test::appendRawRecord(path, key("race_c", 5), proven, 10, "race_c",
+                          5);
+    test::appendRawRecord(path, key("solve_d", 5), proven, 0, "solve_d",
+                          5);
+
+    bmc::Journal j;
+    j.open(path, kHash, /*resume=*/true);
+    EXPECT_EQ(j.numLoaded(), 4u);
+    ASSERT_NE(j.lookup(key("race_a", 5)), nullptr);
+    ASSERT_NE(j.lookup(key("portfolio_b", 5)), nullptr);
+    ASSERT_NE(j.lookup(key("race_c", 5)), nullptr);
+    ASSERT_NE(j.lookup(key("solve_d", 5)), nullptr);
+    EXPECT_EQ(j.lookup(key("race_a", 5))->source,
+              bmc::VerdictSource::Race);
+    EXPECT_EQ(j.lookup(key("portfolio_b", 5))->source,
+              bmc::VerdictSource::Solve);
+    EXPECT_EQ(j.lookup(key("portfolio_b", 5))->verdict,
+              bmc::Verdict::Proven);
+    EXPECT_TRUE(j.lookup(key("portfolio_b", 5))->validated);
+    EXPECT_EQ(j.lookup(key("race_c", 5))->source,
+              bmc::VerdictSource::Race);
+    EXPECT_EQ(j.lookup(key("solve_d", 5))->source,
+              bmc::VerdictSource::Solve);
 }
 
 TEST(Journal, FreshOpenDiscardsExistingRecords)

@@ -255,8 +255,8 @@ TEST(PdrRace, ChallengerWinAttribution)
 {
     auto r = elab(kCounter, "top");
     EngineOptions eopts;
-    eopts.jobs = 2; // incremental path: the winner interrupts the
-                    // incumbent's solver mid-flight
+    eopts.jobs = 2; // the winner interrupts the incumbent's solver
+                    // mid-flight
     Engine engine(*r.netlist, r.signalMap, {}, /*bound=*/4, eopts);
     engine.enqueue(hardProvenQuery("race_attrib", 10, 9));
     auto results = engine.drain();
@@ -369,13 +369,15 @@ formalConfig()
 }
 
 rtl2uspec::SynthesisResult
-synthesizeWith(unsigned jobs, EngineChoice engine)
+synthesizeWith(unsigned jobs, EngineChoice engine,
+               ValidateMode validate = ValidateMode::Sample)
 {
     auto design = vscale::elaborateVscale(formalConfig());
     auto md = vscale::vscaleMetadata(formalConfig());
     rtl2uspec::SynthesisOptions opts;
     opts.jobs = jobs;
     opts.engine = engine;
+    opts.validate = validate;
     return rtl2uspec::synthesize(design, md, opts);
 }
 
@@ -386,11 +388,17 @@ synthesizeWith(unsigned jobs, EngineChoice engine)
  * --engine bmc on the multi-V-scale at jobs=1 and jobs=4, with every
  * per-SVA verdict equal; and the race must close at least one query
  * with an *unbounded* proof — generality plain BMC cannot produce at
- * any bound.
+ * any bound. The --engine bmc reference runs at jobs=1 under full
+ * validation: every proof re-solved in a fresh context, every
+ * counterexample replayed, with no mismatch.
  */
 TEST(PdrRace, VscaleRaceMatchesBmc)
 {
-    rtl2uspec::SynthesisResult bmc = synthesizeWith(1, EngineChoice::Bmc);
+    rtl2uspec::SynthesisResult bmc =
+        synthesizeWith(1, EngineChoice::Bmc, ValidateMode::Full);
+    EXPECT_EQ(bmc.validationMismatches, 0u);
+    EXPECT_EQ(bmc.validationFailures, 0u);
+    EXPECT_EQ(bmc.unknownSvas, 0u);
     rtl2uspec::SynthesisResult race1 =
         synthesizeWith(1, EngineChoice::Race);
     rtl2uspec::SynthesisResult race4 =

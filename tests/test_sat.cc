@@ -3,17 +3,32 @@
  * Tests for the CDCL SAT solver, including a randomized property test
  * that cross-checks solver verdicts against brute-force enumeration on
  * small formulas, and structured instances (pigeonhole, chains) that
- * exercise conflict analysis, restarts, and assumption handling.
+ * exercise conflict analysis, restarts, and assumption handling. Also:
+ *
+ *  - cloneFrom() must replicate the whole search state;
+ *  - a reduceDB() regression: a crafted conflict schedule (learnt cap
+ *    pinned to almost nothing, so reduction fires while learnt
+ *    clauses are reasons on the trail) must never evict locked
+ *    clauses — evicting a reason corrupts conflict analysis, which
+ *    shows up as a wrong verdict, a bogus model, or a crash;
+ *  - inprocessing (periodic simplifyDB + arena garbage collection)
+ *    must not change verdicts, incrementally or not, on random CNFs
+ *    and on a sliced multi-V-scale query corpus.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <random>
 #include <thread>
 
+#include "bmc/checker.hh"
+#include "bmc/validate.hh"
 #include "sat/solver.hh"
+#include "vscale/metadata.hh"
+#include "vscale/vscale.hh"
 
 using namespace r2u::sat;
 
@@ -455,3 +470,309 @@ TEST_P(SatRandomTest, AgreesWithBruteForce)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SatRandomTest, ::testing::Range(0, 5));
+
+namespace
+{
+
+using Cnf = std::vector<std::vector<Lit>>;
+
+/** Random k-CNF near the 3-SAT phase transition so that fixed seeds
+ *  yield a mix of SAT and UNSAT instances. */
+Cnf
+randomCnf(std::mt19937 &rng, int num_vars, int num_clauses)
+{
+    Cnf cnf;
+    std::uniform_int_distribution<int> pick_var(0, num_vars - 1);
+    std::uniform_int_distribution<int> coin(0, 1);
+    std::uniform_int_distribution<int> width_die(0, 9);
+    for (int i = 0; i < num_clauses; i++) {
+        int width = width_die(rng) == 0 ? 2 : 3;
+        std::vector<Lit> clause;
+        while (static_cast<int>(clause.size()) < width) {
+            Lit l = mkLit(pick_var(rng), coin(rng) != 0);
+            bool dup = false;
+            for (Lit o : clause)
+                dup = dup || var(o) == var(l);
+            if (!dup)
+                clause.push_back(l);
+        }
+        cnf.push_back(std::move(clause));
+    }
+    return cnf;
+}
+
+/** Pigeonhole: pigeons > holes is UNSAT with a deterministically
+ *  conflict-rich proof (var = p * holes + h). */
+Cnf
+pigeonholeCnf(int pigeons, int holes)
+{
+    Cnf cnf;
+    for (int p = 0; p < pigeons; p++) {
+        std::vector<Lit> some;
+        for (int h = 0; h < holes; h++)
+            some.push_back(mkLit(p * holes + h));
+        cnf.push_back(some);
+    }
+    for (int h = 0; h < holes; h++)
+        for (int p1 = 0; p1 < pigeons; p1++)
+            for (int p2 = p1 + 1; p2 < pigeons; p2++)
+                cnf.push_back({~mkLit(p1 * holes + h),
+                               ~mkLit(p2 * holes + h)});
+    return cnf;
+}
+
+void
+load(Solver &s, const Cnf &cnf, int num_vars)
+{
+    while (s.numVars() < num_vars)
+        s.newVar();
+    for (const auto &clause : cnf)
+        s.addClause(clause);
+}
+
+bool
+satisfies(const std::vector<LBool> &model, const Cnf &cnf)
+{
+    for (const auto &clause : cnf) {
+        bool sat = false;
+        for (Lit l : clause) {
+            if (var(l) >= static_cast<Var>(model.size()))
+                return false;
+            sat = sat || ((model[var(l)] ^ sign(l)) == LBool::True);
+        }
+        if (!sat)
+            return false;
+    }
+    return true;
+}
+
+Result
+solvePlain(const Cnf &cnf, int num_vars)
+{
+    Solver s;
+    load(s, cnf, num_vars);
+    return s.solve();
+}
+
+} // namespace
+
+// ---------------------------------------------------------------------
+// cloneFrom: a clone continues the donor's search exactly
+// ---------------------------------------------------------------------
+
+TEST(Clone, CloneFromReplicatesDatabaseAndVerdicts)
+{
+    std::mt19937 rng(31337);
+    const int kVars = 20;
+    Cnf cnf = randomCnf(rng, kVars, 80);
+
+    Solver a;
+    load(a, cnf, kVars);
+    (void)a.solve(); // accumulate learnts / phases / activities
+
+    Solver b;
+    b.cloneFrom(a);
+    EXPECT_EQ(b.numVars(), a.numVars());
+    EXPECT_EQ(b.numClauses(), a.numClauses());
+
+    // Search is deterministic in the clause database (learnts
+    // included), watches, phases and activities: a faithful clone
+    // answers every later solve with the donor's verdict after exactly
+    // the donor's number of conflicts.
+    for (int s = 0; s < 4; s++) {
+        std::vector<Lit> as{mkLit(s, false), mkLit(kVars - 1 - s, true)};
+        uint64_t a_before = a.stats().conflicts;
+        uint64_t b_before = b.stats().conflicts;
+        EXPECT_EQ(a.solve(as), b.solve(as)) << "assumption set " << s;
+        EXPECT_EQ(a.stats().conflicts - a_before,
+                  b.stats().conflicts - b_before)
+            << "assumption set " << s;
+    }
+}
+
+// ---------------------------------------------------------------------
+// reduceDB regression: locked (reason) clauses must survive reduction
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * Crafted conflict schedule: the learnt cap is pinned so low that
+ * reduceDB() fires after virtually every conflict, while learnt
+ * clauses are still reasons of trail literals. If reduction evicted a
+ * locked clause, conflict analysis would walk a tombstoned reason —
+ * wrong verdicts, bogus models, or a crash.
+ */
+SolverConfig
+evictionStormConfig()
+{
+    SolverConfig cfg;
+    cfg.maxLearntsOverride = 2.0;
+    return cfg;
+}
+
+} // namespace
+
+TEST(ReduceDb, LockedReasonsSurviveActivityRanked)
+{
+    Cnf cnf = pigeonholeCnf(7, 6);
+    Solver s;
+    s.setConfig(evictionStormConfig());
+    load(s, cnf, 7 * 6);
+    EXPECT_EQ(s.solve(), Result::Unsat);
+    EXPECT_GT(s.stats().removedClauses, 0u)
+        << "reduction never fired; the regression is not exercised";
+}
+
+TEST(ReduceDb, SatisfiableUnderEvictionStorm)
+{
+    for (int seed = 0; seed < 6; seed++) {
+        std::mt19937 rng(500 + seed);
+        const int kVars = 30;
+        Cnf cnf = randomCnf(rng, kVars, 110);
+        Result plain = solvePlain(cnf, kVars);
+        Solver s;
+        s.setConfig(evictionStormConfig());
+        load(s, cnf, kVars);
+        Result r = s.solve();
+        EXPECT_EQ(r, plain) << "seed " << seed;
+        if (r == Result::Sat)
+            EXPECT_TRUE(satisfies(s.model(), cnf)) << "seed " << seed;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Inprocessing (simplifyDB + arena compaction) keeps verdicts
+// ---------------------------------------------------------------------
+
+TEST(Inprocess, AggressiveSimplifyKeepsVerdicts)
+{
+    for (int seed = 0; seed < 8; seed++) {
+        std::mt19937 rng(9100 + seed);
+        const int kVars = 24;
+        Cnf cnf = randomCnf(rng, kVars, 100);
+        Result plain = solvePlain(cnf, kVars);
+
+        SolverConfig cfg;
+        cfg.inprocessPeriod = 1; // simplify at every restart
+        cfg.lubyUnit = 1;        // restart almost every conflict
+        Solver s;
+        s.setConfig(cfg);
+        load(s, cnf, kVars);
+        Result r = s.solve();
+        EXPECT_EQ(r, plain) << "seed " << seed;
+        if (r == Result::Sat)
+            EXPECT_TRUE(satisfies(s.model(), cnf)) << "seed " << seed;
+    }
+}
+
+TEST(Inprocess, RunsAndCompactsOnConflictRichInstance)
+{
+    SolverConfig cfg;
+    cfg.inprocessPeriod = 1;
+    cfg.lubyUnit = 1;
+    Solver s;
+    s.setConfig(cfg);
+    Cnf cnf = pigeonholeCnf(7, 6);
+    load(s, cnf, 7 * 6);
+    EXPECT_EQ(s.solve(), Result::Unsat);
+    // The restart storm must actually have driven simplifyDB (which
+    // also garbage-collects the clause arena).
+    EXPECT_GT(s.stats().simplifyRuns, 0u);
+}
+
+TEST(Inprocess, IncrementalSolvesStaySound)
+{
+    // Root facts learned by solve N must let simplifyDB drop clauses
+    // before solve N+1 without changing any later verdict.
+    SolverConfig cfg;
+    cfg.inprocessPeriod = 1;
+    cfg.lubyUnit = 1;
+    Solver simp_solver, plain_solver;
+    simp_solver.setConfig(cfg);
+
+    std::mt19937 rng(424242);
+    const int kVars = 20;
+    Cnf batch1 = randomCnf(rng, kVars, 60);
+    load(simp_solver, batch1, kVars);
+    load(plain_solver, batch1, kVars);
+    EXPECT_EQ(simp_solver.solve(), plain_solver.solve());
+
+    Cnf batch2 = randomCnf(rng, kVars, 35);
+    for (const auto &clause : batch2) {
+        simp_solver.addClause(clause);
+        plain_solver.addClause(clause);
+    }
+    Result r2 = plain_solver.solve();
+    EXPECT_EQ(simp_solver.solve(), r2);
+    if (r2 == Result::Sat) {
+        Cnf all = batch1;
+        all.insert(all.end(), batch2.begin(), batch2.end());
+        EXPECT_TRUE(satisfies(simp_solver.model(), all));
+    }
+
+    // And under assumptions, both polarities.
+    for (bool neg : {false, true}) {
+        std::vector<Lit> as{mkLit(3, neg), mkLit(11, !neg)};
+        EXPECT_EQ(simp_solver.solve(as), plain_solver.solve(as));
+    }
+}
+
+/**
+ * Sliced multi-V-scale queries (two cores; per core "the fetch
+ * register moves", reachable, and "the fetch PC lands misaligned",
+ * unreachable) solved with inprocessing at every restart and with it
+ * off: verdicts must agree, and every counterexample from the
+ * inprocessed solve must replay through the reference simulator.
+ */
+TEST(Inprocess, InprocessingOnOffVerdictIdentity)
+{
+    namespace bmc = r2u::bmc;
+    namespace vscale = r2u::vscale;
+    constexpr unsigned kBound = 5;
+    vscale::Config vcfg = vscale::Config::formal();
+    vcfg.imemWords = 16;
+    auto design = vscale::elaborateVscale(vcfg);
+    auto md = vscale::vscaleMetadata(vcfg);
+    for (size_t c = 0; c < 2 && c < md.cores.size(); c++) {
+        const auto &core = md.cores[c];
+        for (int kind = 0; kind < 2; kind++) {
+            std::string ifr = core.ifr, pc = core.imPc;
+            bmc::PropertyFn prop = [kind, ifr, pc](bmc::PropCtx &ctx) {
+                if (kind == 1)
+                    return ctx.eqConst(kBound - 1, pc, 2);
+                Lit bad = ctx.cnf().falseLit();
+                for (unsigned f = 1; f < kBound; f++)
+                    bad = ctx.cnf().mkOr(bad, ctx.changedAt(f, ifr));
+                return bad;
+            };
+            bmc::PropCtx ctx(*design.netlist, design.signalMap, {},
+                             kBound);
+            ctx.beginQuery();
+            ctx.assume(prop(ctx));
+
+            Solver off;
+            off.cloneFrom(ctx.solver());
+            SolverConfig off_cfg;
+            off_cfg.inprocessPeriod = 0;
+            off.setConfig(off_cfg);
+            SolverConfig on_cfg;
+            on_cfg.inprocessPeriod = 1;
+            on_cfg.lubyUnit = 8;
+            ctx.solver().setConfig(on_cfg);
+
+            Result r_on = ctx.solver().solve({ctx.activation()});
+            Result r_off = off.solve({ctx.activation()});
+            std::string what = core.prefix + (kind ? "pc" : "ifr");
+            EXPECT_EQ(r_on, kind ? Result::Unsat : Result::Sat) << what;
+            EXPECT_EQ(r_on, r_off) << what;
+            if (r_on == Result::Sat) {
+                bmc::ReplayResult rep = bmc::replayTrace(
+                    *design.netlist, design.signalMap, {}, kBound, prop,
+                    bmc::extractTrace(ctx));
+                EXPECT_TRUE(rep.ok) << what << ": " << rep.note;
+            }
+        }
+    }
+}

@@ -23,6 +23,7 @@
 #include "common/bits.hh"
 #include "netlist/hash.hh"
 #include "netlist/netlist.hh"
+#include "store_frames.hh"
 
 using namespace r2u;
 namespace fs = std::filesystem;
@@ -106,6 +107,38 @@ TEST(VerdictCache, RoundTripPersistsAcrossReopens)
     EXPECT_EQ(a.propagations, 1717u);
     EXPECT_EQ(c.lookup(0x222)->verdict, bmc::Verdict::Refuted);
     (void)file;
+}
+
+// VerdictSource is stored as one byte. Records written by older builds
+// carry 9 (the retired SAT-portfolio source) and 10 (Race); both must
+// load, and none may cost the records after it.
+TEST(VerdictCache, RetiredAndRaceSourceBytesLoad)
+{
+    std::string dir = tempCacheDir("vc_source_bytes");
+    std::string file;
+    {
+        bmc::VerdictCache cache;
+        cache.open(dir);
+        ASSERT_TRUE(cache.isOpen());
+        file = cache.filePath();
+    }
+    const uint8_t proven = static_cast<uint8_t>(bmc::Verdict::Proven);
+    const uint8_t refuted = static_cast<uint8_t>(bmc::Verdict::Refuted);
+    test::appendRawRecord(file, 0x1001, proven, 10, "race_a", 5);
+    test::appendRawRecord(file, 0x1002, refuted, 9, "portfolio_b", 5);
+    test::appendRawRecord(file, 0x1003, proven, 9, "portfolio_c", 5);
+    test::appendRawRecord(file, 0x1004, proven, 10, "race_d", 5);
+
+    bmc::VerdictCache cache;
+    cache.open(dir);
+    EXPECT_EQ(cache.numLoaded(), 4u);
+    for (uint64_t k : {0x1001ull, 0x1002ull, 0x1003ull, 0x1004ull})
+        ASSERT_NE(cache.lookup(k), nullptr) << std::hex << k;
+    EXPECT_EQ(cache.lookup(0x1001)->source, bmc::VerdictSource::Race);
+    EXPECT_EQ(cache.lookup(0x1002)->source, bmc::VerdictSource::Solve);
+    EXPECT_EQ(cache.lookup(0x1002)->verdict, bmc::Verdict::Refuted);
+    EXPECT_EQ(cache.lookup(0x1003)->source, bmc::VerdictSource::Solve);
+    EXPECT_EQ(cache.lookup(0x1004)->source, bmc::VerdictSource::Race);
 }
 
 // Appending a key the cache already holds is a durable no-op: the
@@ -441,9 +474,9 @@ TEST(VerdictCache, EngineReplayAndPartialInvalidation)
         EXPECT_EQ(engine.stats().cacheMisses, 2u);
         EXPECT_EQ(engine.stats().cacheInvalidations, 2u);
         EXPECT_EQ(engine.stats().cacheAppends, 2u);
-        // Sequential mode builds one fresh unroll per solved query —
-        // exactly the edited cone's two.
-        EXPECT_EQ(engine.stats().contexts, 2u);
+        // The one worker re-solves the edited cone's two queries in a
+        // single incremental context.
+        EXPECT_EQ(engine.stats().contexts, 1u);
     }
 }
 

@@ -67,7 +67,7 @@ usage()
         "                  DOT files into DIR\n"
         "  --bound N       override the BMC bound from the metadata\n"
         "  --jobs N        SVA-evaluation workers (default: hardware\n"
-        "                  concurrency; 1 = classic sequential path)\n"
+        "                  concurrency)\n"
         "  --full-unroll   disable cone-of-influence slicing: bit-blast\n"
         "                  the whole design per unroll (same verdicts,\n"
         "                  bigger CNFs; for differential testing)\n"
@@ -88,18 +88,6 @@ usage()
         "                  emitted model are identical to --engine\n"
         "                  bmc; the challengers can additionally close\n"
         "                  proofs as unbounded)\n"
-        "  --portfolio[=N] race each SVA query across N diversified\n"
-        "                  solver configurations (default 3); first\n"
-        "                  definitive verdict wins and interrupts the\n"
-        "                  rest. Verdicts and the emitted model are\n"
-        "                  identical to the single-config path\n"
-        "  --share-clauses / --no-share-clauses\n"
-        "                  exchange low-LBD learnt clauses between\n"
-        "                  portfolio racers at restart boundaries\n"
-        "                  (default on when --portfolio)\n"
-        "  --no-inprocess  disable CNF pre/inprocessing (bounded\n"
-        "                  variable elimination, subsumption,\n"
-        "                  self-subsuming resolution) on query CNFs\n"
         "  --validate MODE verdict validation: off | replay | full |\n"
         "                  sample=N (default sample=8: replay every\n"
         "                  counterexample through the reference\n"
@@ -200,22 +188,6 @@ main(int argc, char **argv)
                     fatal("--engine expects bmc|kind|pdr|race, "
                           "got '%s'", e.c_str());
                 }
-            } else if (arg == "--portfolio" ||
-                       arg.rfind("--portfolio=", 0) == 0) {
-                synth_opts.portfolio = true;
-                if (arg.size() > 12 && arg[11] == '=') {
-                    int n = parseInt("--portfolio=N", arg.substr(12));
-                    if (n < 2)
-                        fatal("--portfolio=N expects N >= 2 racers");
-                    synth_opts.portfolioRacers =
-                        static_cast<unsigned>(n);
-                }
-            } else if (arg == "--share-clauses") {
-                synth_opts.shareClauses = true;
-            } else if (arg == "--no-share-clauses") {
-                synth_opts.shareClauses = false;
-            } else if (arg == "--no-inprocess") {
-                synth_opts.inprocess = false;
             } else if (arg == "--validate") {
                 std::string mode = next();
                 if (mode == "off") {
