@@ -4,7 +4,7 @@
  * rtl2uspec_serve daemon on a temp socket, measured from the client
  * side. Three figures: the cold first synthesize request (empty state
  * dir, every query solved), repeated warm requests (every verdict
- * replayed from the per-configuration journal — the steady-state cost
+ * replayed from the daemon's verdict cache — the steady-state cost
  * of re-checking an unchanged design through the service), and the
  * raw ping round-trip (protocol + dispatch floor). Writes
  * BENCH_serve.json.
@@ -102,7 +102,7 @@ main()
     std::printf("cold synthesize: %.1f ms (%lld queries solved)\n",
                 cold_ms, resp.getInt("cache_misses"));
 
-    // Warm: the per-configuration journal replays every verdict; this
+    // Warm: the verdict cache replays every verdict; this
     // is the steady-state cost of re-checking an unchanged design.
     int warm_iters = bench::quickMode() ? 3 : 10;
     std::vector<double> warm;
@@ -119,12 +119,12 @@ main()
             return 1;
         }
         warm.push_back(t.milliseconds());
-        warm_hits = resp.getInt("journal_hits");
+        warm_hits = resp.getInt("cache_hits");
     }
     double warm_p50 = bench::percentile(warm, 0.50);
     double warm_p90 = bench::percentile(warm, 0.90);
     std::printf("warm synthesize: p50 %.1f ms, p90 %.1f ms over %d "
-                "requests (%lld journal hits each)\n",
+                "requests (%lld cache hits each)\n",
                 warm_p50, warm_p90, warm_iters, warm_hits);
     std::printf("warm/cold ratio: %.3f\n", warm_p50 / cold_ms);
 
@@ -158,7 +158,7 @@ main()
     json += strfmt("  \"warm_requests\": %d,\n", warm_iters);
     json += strfmt("  \"warm_synthesize_p50_ms\": %.3f,\n", warm_p50);
     json += strfmt("  \"warm_synthesize_p90_ms\": %.3f,\n", warm_p90);
-    json += strfmt("  \"warm_journal_hits\": %lld,\n", warm_hits);
+    json += strfmt("  \"warm_cache_hits\": %lld,\n", warm_hits);
     json += strfmt("  \"warm_over_cold\": %.4f,\n", warm_p50 / cold_ms);
     json += strfmt("  \"ping_requests\": %d,\n", ping_iters);
     json += strfmt("  \"ping_p50_ms\": %.4f,\n", ping_p50);

@@ -37,7 +37,7 @@ const char *verdictName(Verdict verdict);
  * are Solve (first attempt) or Retry (a budget-escalation retry
  * resolved an earlier Unknown).
  *
- * The journal and the verdict cache store the value as one byte, so
+ * The verdict cache stores the value as one byte, so
  * every enumerator carries an explicit, never-reused value. Byte 9 is
  * retired (a SAT-portfolio challenger's definite verdict); the store
  * decodes it as Solve.
@@ -280,12 +280,8 @@ struct CheckResult
     // --- trust-but-verify validation accounting (bmc::Engine) ---
     /** Verdict independently confirmed (replay or proof re-check). */
     bool validated = false;
-    /** Verdict loaded from a resume journal (validated when written). */
-    bool fromJournal = false;
-    /** This result was appended to the run journal. */
-    bool journaled = false;
-    /** Verdict replayed from the cross-run verdict cache (its content
-     *  key matched — same cone, property, and bound). */
+    /** Verdict replayed from the verdict cache (its content key
+     *  matched — same cone, property, and bound). */
     bool fromCache = false;
     /** This result was appended to the verdict cache. */
     bool cached = false;

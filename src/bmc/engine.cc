@@ -734,8 +734,14 @@ Engine::postProcess(size_t index, const Query &query,
         validateResult(query, result, recheck_proof);
     }
 
-    if (result.verdict != Verdict::Unknown) {
-        Journal::Record rec;
+    // Cache keys are the raw content hash; unhashed queries
+    // (contentHash 0) are never cached — their identity is not
+    // content-derived, so a stored record would be unsound to replay
+    // in another run.
+    if (result.verdict != Verdict::Unknown && eopts_.cache &&
+        eopts_.cache->isOpen() && query.contentHash != 0) {
+        VerdictCache::Record rec;
+        rec.key = query.contentHash;
         rec.name = query.name;
         rec.verdict = result.verdict;
         rec.source = result.source;
@@ -751,65 +757,8 @@ Engine::postProcess(size_t index, const Query &query,
         // bound's query).
         rec.unbounded =
             result.unbounded && result.verdict == Verdict::Proven;
-        if (eopts_.journal && eopts_.journal->isOpen()) {
-            rec.key = journalKey(query.name, result.bound,
-                                 query.contentHash);
-            rec.baseKey = rec.unbounded
-                              ? journalBaseKey(query.name,
-                                               query.baseHash)
-                              : 0;
-            result.journaled = eopts_.journal->append(rec);
-        }
-        // Cache keys are the raw content hash; unhashed queries
-        // (contentHash 0) are never cached — their identity is not
-        // content-derived, so a cache record would be unsound to
-        // replay in another run.
-        if (eopts_.cache && eopts_.cache->isOpen() &&
-            query.contentHash != 0) {
-            rec.key = query.contentHash;
-            rec.baseKey = rec.unbounded ? query.baseHash : 0;
-            result.cached = eopts_.cache->append(rec);
-        }
-    }
-}
-
-void
-Engine::resolveFromJournal(const std::vector<Query> &batch,
-                           std::vector<CheckResult> &results,
-                           std::vector<char> &done)
-{
-    Journal *journal = eopts_.journal;
-    if (!journal || journal->numLoaded() == 0)
-        return;
-    for (size_t i = 0; i < batch.size(); i++) {
-        const Journal::Record *rec = journal->lookup(journalKey(
-            batch[i].name, batch[i].bound, batch[i].contentHash));
-        if (!rec && batch[i].baseHash != 0) {
-            // Exact (name, bound, content) miss: an unbounded Proven
-            // proof of the same cone + property — journaled at any
-            // bound — still answers this query.
-            rec = journal->lookupUnbounded(
-                journalBaseKey(batch[i].name, batch[i].baseHash));
-        }
-        if (!rec)
-            continue;
-        CheckResult r;
-        r.verdict = rec->verdict;
-        r.source = rec->source;
-        r.bound = rec->unbounded ? batch[i].bound : rec->bound;
-        r.retries = rec->retries;
-        r.seconds = rec->seconds;
-        r.conflicts = rec->conflicts;
-        r.propagations = rec->propagations;
-        r.validated = rec->validated;
-        r.unbounded = rec->unbounded;
-        r.fromJournal = true;
-        if (r.verdict == Verdict::Refuted)
-            r.validationNote = "verdict resumed from journal; the "
-                               "counterexample trace is not stored";
-        fillCoiStats(batch[i], r);
-        results[i] = std::move(r);
-        done[i] = 1;
+        rec.baseKey = rec.unbounded ? query.baseHash : 0;
+        result.cached = eopts_.cache->append(rec);
     }
 }
 
@@ -822,9 +771,9 @@ Engine::resolveFromCache(const std::vector<Query> &batch,
     if (!cache || !cache->isOpen())
         return;
     for (size_t i = 0; i < batch.size(); i++) {
-        if (done[i] || batch[i].contentHash == 0)
+        if (batch[i].contentHash == 0)
             continue;
-        const Journal::Record *rec =
+        const VerdictCache::Record *rec =
             cache->lookup(batch[i].contentHash);
         if (!rec && batch[i].baseHash != 0) {
             // Bound-semantics fallback: an unbounded Proven record for
@@ -1019,12 +968,10 @@ Engine::drain()
         return results;
     stats_.queries += batch.size();
 
-    // Resume: queries with a journaled (already-validated) verdict are
-    // answered up front, single-threaded, and never dispatched. The
-    // journal (this run's own restart log) outranks the cross-run
-    // cache; anything it cannot answer falls through to the cache.
+    // Queries with a cached (already-validated) verdict are answered
+    // up front, single-threaded, and never dispatched. This is also
+    // how a killed run resumes: its durable verdicts are cache hits.
     std::vector<char> done(batch.size(), 0);
-    resolveFromJournal(batch, results, done);
     resolveFromCache(batch, results, done);
 
     auto accumulate = [this](const CheckResult &r) {
@@ -1039,10 +986,6 @@ Engine::drain()
         stats_.validationMismatches += r.validationMismatches;
         if (r.source == VerdictSource::ValidationFailed)
             stats_.validationFailures++;
-        if (r.fromJournal)
-            stats_.journalHits++;
-        if (r.journaled)
-            stats_.journalAppends++;
         if (r.fromCache)
             stats_.cacheHits++;
         if (r.cached)
@@ -1053,9 +996,8 @@ Engine::drain()
         if (r.engineRaced)
             stats_.engineRaces++;
         // Per-engine win attribution: only verdicts *solved* this run
-        // count (journal/cache replays already counted when produced).
-        if (r.verdict != Verdict::Unknown && !r.fromJournal &&
-            !r.fromCache) {
+        // count (cache replays already counted when produced).
+        if (r.verdict != Verdict::Unknown && !r.fromCache) {
             switch (r.engine) {
               case EngineKind::Bmc:
                 stats_.bmcWins++;
@@ -1090,8 +1032,8 @@ Engine::drain()
         if (!done[i])
             todo.push_back(i);
 
-    // A batch the journal and cache answered in full starts no
-    // threads: the pool and its workers are built on first need.
+    // A batch the cache answered in full starts no threads: the pool
+    // and its workers are built on first need.
     std::vector<std::exception_ptr> errors(batch.size());
     if (!todo.empty()) {
         // The netlist's lazy topological order is computed by the

@@ -36,7 +36,7 @@
 #include <string>
 
 #include "bmc/checker.hh"
-#include "bmc/journal.hh"
+#include "bmc/verdict_cache.hh"
 #include "common/thread_pool.hh"
 #include "netlist/coi.hh"
 
@@ -126,18 +126,12 @@ struct EngineOptions
     /** Sample mode: re-check every Nth Proven verdict (min 1). */
     unsigned validateSampleN = 8;
     /**
-     * Optional crash-safe run journal (owned by the caller, must
-     * outlive the engine). Definite verdicts are appended after
-     * validation; journaled queries found at drain() time are answered
-     * without solving. nullptr disables journaling.
-     */
-    Journal *journal = nullptr;
-    /**
-     * Optional cross-run verdict cache (owned by the caller, must
+     * Optional durable verdict cache (owned by the caller, must
      * outlive the engine). Queries whose contentHash matches a cached
      * record are answered without solving; new definite verdicts are
-     * appended keyed by their contentHash. Queries with contentHash 0
-     * never consult or populate the cache. nullptr disables caching.
+     * appended after validation, keyed by their contentHash. Queries
+     * with contentHash 0 never consult or populate the cache. nullptr
+     * disables caching.
      */
     VerdictCache *cache = nullptr;
     /**
@@ -186,18 +180,17 @@ struct Query
     /**
      * Content-derived identity of this query: a hash of its COI slice,
      * property encoding, and bound (see nl::coneHash and the synthesis
-     * frontend's per-query hashing). Mixed into the journal key so an
-     * edited property or rewired cone cannot resume a stale verdict,
-     * and used verbatim as the verdict-cache key. 0 means "unhashed":
-     * the journal key degrades to name+bound (still guarded by the
-     * journal's config hash) and the cache is bypassed entirely.
+     * frontend's per-query hashing), used verbatim as the
+     * verdict-cache key, so an edited property or rewired cone misses
+     * instead of replaying a stale verdict. 0 means "unhashed": the
+     * cache is bypassed entirely.
      */
     uint64_t contentHash = 0;
 
     /**
      * Bound-independent content identity: contentHash with the bound
      * left out of the mix. Unbounded Proven verdicts (PDR convergence,
-     * closed induction) are keyed by this too, so a journal/cache hit
+     * closed induction) are keyed by this too, so a cache hit
      * can satisfy the same cone + property at *any* bound. 0 means
      * "unhashed" (no unbounded reuse).
      */
@@ -246,11 +239,7 @@ struct EngineStats
     uint64_t validationMismatches = 0;
     /** Verdicts degraded to Unknown(ValidationFailed). */
     uint64_t validationFailures = 0;
-    /** Queries answered from the resume journal without solving. */
-    uint64_t journalHits = 0;
-    /** Verdicts durably appended to the journal this run. */
-    uint64_t journalAppends = 0;
-    /** Queries answered from the cross-run verdict cache. */
+    /** Queries answered from the verdict cache without solving. */
     uint64_t cacheHits = 0;
     /** Hashed queries the cache could not answer. */
     uint64_t cacheMisses = 0;
@@ -354,7 +343,7 @@ class Engine
      * Everything between "the solver answered" and "the caller sees
      * the result": fault-injection seam, verdict validation per
      * EngineOptions::validate (with quarantine + degradation on
-     * mismatch), and the journal append. Thread-safe; runs on the
+     * mismatch), and the cache append. Thread-safe; runs on the
      * worker that solved the query.
      */
     void postProcess(size_t index, const Query &query,
@@ -375,10 +364,6 @@ class Engine
     /** Deterministic VCD path for a query's counterexample ("" if
      *  --cex-vcd is off). */
     std::string vcdPathFor(const Query &query) const;
-    /** Answer journaled queries in-place; marks them done. */
-    void resolveFromJournal(const std::vector<Query> &batch,
-                            std::vector<CheckResult> &results,
-                            std::vector<char> &done);
     /** Answer content-cached queries in-place; marks them done and
      *  tallies the miss/invalidation counters (single-threaded). */
     void resolveFromCache(const std::vector<Query> &batch,

@@ -2,17 +2,17 @@
  * @file
  * Canonical structural hashing of netlist content.
  *
- * Two consumers need a semantic fingerprint of "what the solver will
- * see" rather than a count of how many cells it will see:
+ * The content-addressed verdict cache keys each query by a semantic
+ * fingerprint of "what the solver will see" rather than a count of how
+ * many cells it will see:
  *
- *  - the BMC run journal binds resumed verdicts to the producing
- *    design via a whole-netlist hash (structuralHash) — a rewired
- *    design with identical cell/input/register counts must not be
- *    allowed to resume another design's verdicts;
- *  - the content-addressed verdict cache keys each query by the hash
- *    of exactly the cone of influence its property can read
- *    (coneHash over nl::computeCoi), so an RTL edit invalidates only
- *    the queries whose slice actually changed.
+ *  - by default, the hash of exactly the cone of influence its
+ *    property can read (coneHash over nl::computeCoi), so an RTL edit
+ *    invalidates only the queries whose slice actually changed;
+ *  - under --full-unroll, where every query sees every cell, the
+ *    whole-netlist hash (structuralHash) — a rewired design with
+ *    identical cell/input/register counts must miss, never replay
+ *    another design's verdicts.
  *
  * The hash covers cell kinds, names, port widths, connectivity
  * (input CellIds), constant/DFF power-on values, slice offsets, and
@@ -40,10 +40,11 @@ namespace r2u::nl
 
 /**
  * Incremental FNV-1a 64-bit hasher over an explicit byte encoding
- * (same constants as the journal's record checksum). Every integer is
- * fed little-endian with its full width, so `u32(1), u32(2)` and
- * `u64(0x200000001)` hash differently from most accidental
- * concatenations; strings are length-prefixed for the same reason.
+ * (same constants as the verdict cache's record checksum). Every
+ * integer is fed little-endian with its full width, so
+ * `u32(1), u32(2)` and `u64(0x200000001)` hash differently from most
+ * accidental concatenations; strings are length-prefixed for the same
+ * reason.
  */
 class Fnv64
 {

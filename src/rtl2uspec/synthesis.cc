@@ -1,7 +1,6 @@
 #include "rtl2uspec/synthesis.hh"
 
 #include <algorithm>
-#include <filesystem>
 
 #include "bmc/engine.hh"
 #include "common/logging.hh"
@@ -63,41 +62,6 @@ class Synthesizer
         eopts.validateSampleN = opts.validateSampleN;
         eopts.cexVcdDir = opts.cexVcdDir;
         eopts.faultHook = opts.faultHook;
-        if (!opts.journalPath.empty()) {
-            journal_ = std::make_unique<bmc::Journal>();
-            journal_->open(opts.journalPath, configHash(),
-                           opts.resumeJournal);
-            if (opts.resumeJournal && journal_->numLoaded() > 0)
-                inform("rtl2uspec: resuming from journal %s "
-                       "(%zu validated verdicts)",
-                       opts.journalPath.c_str(), journal_->numLoaded());
-            eopts.journal = journal_.get();
-        } else if (!opts.journalDir.empty()) {
-            // Service mode: one always-resumed journal per
-            // verdict-relevant configuration, so a daemon restarted
-            // after kill -9 replays everything any earlier request
-            // made durable for this design/bound/unroll combination.
-            std::error_code ec;
-            std::filesystem::create_directories(opts.journalDir, ec);
-            if (ec)
-                fatal("rtl2uspec: cannot create journal dir %s: %s",
-                      opts.journalDir.c_str(), ec.message().c_str());
-            std::string path =
-                (std::filesystem::path(opts.journalDir) /
-                 strfmt("%016llx.r2uj",
-                        static_cast<unsigned long long>(configHash())))
-                    .string();
-            journal_ = std::make_unique<bmc::Journal>();
-            if (journal_->openShared(path, configHash())) {
-                if (journal_->numLoaded() > 0)
-                    inform("rtl2uspec: resuming from journal %s "
-                           "(%zu validated verdicts)",
-                           path.c_str(), journal_->numLoaded());
-                eopts.journal = journal_.get();
-            } else {
-                journal_.reset(); // lock conflict: run journal-less
-            }
-        }
         if (opts.cache) {
             out_.cacheEnabled = true;
             eopts.cache = opts.cache;
@@ -152,8 +116,6 @@ class Synthesizer
         out_.recheckInconclusive = estats.recheckInconclusive;
         out_.validationMismatches = estats.validationMismatches;
         out_.validationFailures = estats.validationFailures;
-        out_.journalHits = estats.journalHits;
-        out_.journalAppends = estats.journalAppends;
         out_.cacheHits = estats.cacheHits;
         out_.cacheMisses = estats.cacheMisses;
         out_.cacheInvalidations = estats.cacheInvalidations;
@@ -186,16 +148,13 @@ class Synthesizer
                    static_cast<size_t>(estats.cacheMisses),
                    static_cast<size_t>(estats.cacheInvalidations),
                    static_cast<size_t>(estats.cacheAppends));
-        if (estats.replays > 0 || estats.proofRechecks > 0 ||
-            estats.journalHits > 0)
+        if (estats.replays > 0 || estats.proofRechecks > 0)
             inform("rtl2uspec: validation (%s): %zu replay(s), "
-                   "%zu proof re-check(s), %zu mismatch(es), "
-                   "%zu journal hit(s), %.2fs",
+                   "%zu proof re-check(s), %zu mismatch(es), %.2fs",
                    validate_mode_.c_str(),
                    static_cast<size_t>(estats.replays),
                    static_cast<size_t>(estats.proofRechecks),
                    static_cast<size_t>(estats.validationMismatches),
-                   static_cast<size_t>(estats.journalHits),
                    estats.validateSeconds);
         if (!out_.svas.empty()) {
             double vars = 0, clauses = 0;
@@ -325,29 +284,6 @@ class Synthesizer
         for (size_t m = 0; m < nl_.numMemories(); m++)
             opts.symbolicMems.insert(static_cast<nl::MemId>(m));
         return opts;
-    }
-
-    /**
-     * Binds a run journal to the verdict-relevant configuration: the
-     * structural netlist hash (every cell's kind, width, connectivity,
-     * init value, and every memory's geometry + contents — not just
-     * element counts: a rewired design with identical counts must not
-     * resume another design's verdicts), the unroll bound, and the
-     * unroll mode. Deliberately excludes --jobs and solver budgets — a
-     * journaled verdict is definite and validated, so it holds at any
-     * parallelism or budget. Also excludes the metadata/property
-     * environment: an edited SVA changes its per-query content hash
-     * (and therefore its journal key), which turns into a plain miss
-     * instead of rejecting the whole journal.
-     */
-    uint64_t
-    configHash() const
-    {
-        nl::Fnv64 h;
-        h.u64(netlist_hash_);
-        h.u32(md_.bound);
-        h.byte(full_unroll_ ? 1 : 0);
-        return h.value();
     }
 
     /**
@@ -512,9 +448,9 @@ class Synthesizer
      * slice its property can read (the whole netlist under
      * --full-unroll, where every query sees every cell), the property
      * environment, the bound/unroll mode, and the SVA's identity and
-     * rendered text. This is the journal-key ingredient and the
-     * verdict-cache key — two runs produce the same hash exactly when
-     * the solver would decide the same question.
+     * rendered text. This is the verdict-cache key — two runs
+     * produce the same hash exactly when the solver would decide the
+     * same question.
      */
     uint64_t
     queryContentHash(size_t idx, const nl::CoiSeeds &seeds) const
@@ -538,7 +474,7 @@ class Synthesizer
      * ingredients with the unroll bound left out. An *unbounded*
      * Proven verdict (PDR fixpoint, closed induction step) is keyed
      * under this hash too, so a later run at a different bound can
-     * reuse the proof (journal/cache lookupUnbounded).
+     * reuse the proof (VerdictCache::lookupUnbounded).
      */
     uint64_t
     queryBaseHash(size_t idx, const nl::CoiSeeds &seeds) const
@@ -576,17 +512,15 @@ class Synthesizer
             rec.cnfClausesAdded = results[q].cnfClausesAdded;
             rec.coiCells = results[q].coiCells;
             rec.validated = results[q].validated;
-            rec.fromJournal = results[q].fromJournal;
             rec.fromCache = results[q].fromCache;
             rec.engine = bmc::engineKindName(results[q].engine);
             rec.engineRaced = results[q].engineRaced;
             rec.unbounded = results[q].unbounded;
             switch (results[q].verdict) {
               case Verdict::Refuted:
-                rec.trace =
-                    results[q].fromJournal || results[q].fromCache
-                        ? results[q].validationNote
-                        : results[q].trace.toString();
+                rec.trace = results[q].fromCache
+                                ? results[q].validationNote
+                                : results[q].trace.toString();
                 break;
               case Verdict::Proven:
                 break;
@@ -1869,15 +1803,13 @@ class Synthesizer
     int hbis_ = 0;
     SynthesisResult out_;
     std::string validate_mode_;
-    /** nl::structuralHash of the whole design (journal binding). */
+    /** nl::structuralHash of the whole design (full-unroll key). */
     uint64_t netlist_hash_ = 0;
     /** propertyEnvHash() of the metadata (per-query key ingredient). */
     uint64_t property_env_hash_ = 0;
 
-    /** Crash-safe verdict journal; declared before engine_ so the
-     *  engine (which holds a raw pointer to it) dies first. */
-    std::unique_ptr<bmc::Journal> journal_;
-    /** Cross-run verdict cache; same lifetime rule as the journal. */
+    /** Durable verdict cache; declared before engine_ so the engine
+     *  (which holds a raw pointer to it) dies first. */
     std::unique_ptr<bmc::VerdictCache> cache_;
     /** The BMC query engine serving every SVA in this run. */
     std::unique_ptr<bmc::Engine> engine_;
@@ -1957,10 +1889,6 @@ SynthesisResult::report() const
                       "clause(s)\n",
                       static_cast<size_t>(inprocessRuns),
                       static_cast<size_t>(inprocessClausesRemoved));
-    if (journalHits > 0 || journalAppends > 0)
-        out += strfmt("journal: %zu verdict(s) resumed, %zu appended\n",
-                      static_cast<size_t>(journalHits),
-                      static_cast<size_t>(journalAppends));
     if (cacheEnabled)
         out += strfmt("cache: %zu hit(s), %zu miss(es), "
                       "%zu invalidation(s), %zu verdict(s) appended\n",
@@ -2030,16 +1958,13 @@ SynthesisResult::jsonReport() const
         "  \"validation\": {\"mode\": \"%s\", \"replays\": %zu, "
         "\"proof_rechecks\": %zu, \"recheck_inconclusive\": %zu, "
         "\"mismatches\": %zu, \"validation_failures\": %zu, "
-        "\"journal_hits\": %zu, \"journal_appends\": %zu, "
         "\"replay_s\": %.6f, \"recheck_s\": %.6f, "
         "\"validate_s\": %.6f},\n",
         validateMode.c_str(), static_cast<size_t>(replays),
         static_cast<size_t>(proofRechecks),
         static_cast<size_t>(recheckInconclusive),
         static_cast<size_t>(validationMismatches),
-        static_cast<size_t>(validationFailures),
-        static_cast<size_t>(journalHits),
-        static_cast<size_t>(journalAppends), replaySeconds,
+        static_cast<size_t>(validationFailures), replaySeconds,
         recheckSeconds, validateSeconds);
     out += strfmt(
         "  \"cache\": {\"enabled\": %s, \"hits\": %zu, "
@@ -2081,8 +2006,7 @@ SynthesisResult::jsonReport() const
             "\"retries\": %u, \"seconds\": %.6f, "
             "\"conflicts\": %zu, \"propagations\": %zu, "
             "\"cnf_vars\": %zu, \"cnf_clauses\": %zu, "
-            "\"validated\": %s, \"from_journal\": %s, "
-            "\"from_cache\": %s, "
+            "\"validated\": %s, \"from_cache\": %s, "
             "\"engine\": \"%s\", \"engine_raced\": %s, "
             "\"unbounded\": %s, "
             "\"degraded\": %s%s%s%s}%s\n",
@@ -2092,7 +2016,6 @@ SynthesisResult::jsonReport() const
             static_cast<size_t>(r.conflicts),
             static_cast<size_t>(r.propagations), r.cnfVars,
             r.cnfClauses, r.validated ? "true" : "false",
-            r.fromJournal ? "true" : "false",
             r.fromCache ? "true" : "false",
             r.engine.c_str(), r.engineRaced ? "true" : "false",
             r.unbounded ? "true" : "false",

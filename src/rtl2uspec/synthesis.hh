@@ -52,9 +52,7 @@ struct SvaRecord
 
     /** Verdict independently confirmed (replay / proof re-check). */
     bool validated = false;
-    /** Verdict loaded from a resume journal instead of solved. */
-    bool fromJournal = false;
-    /** Verdict replayed from the cross-run verdict cache. */
+    /** Verdict replayed from the verdict cache instead of solved. */
     bool fromCache = false;
 
     /** Proof engine that produced the verdict ("bmc", "kind", "pdr"). */
@@ -141,18 +139,15 @@ struct SynthesisOptions
      */
     bmc::ValidateMode validate = bmc::ValidateMode::Sample;
     unsigned validateSampleN = 8;
-    /** Crash-safe run journal path ("" disables). */
-    std::string journalPath;
-    /** Resume from an existing journal instead of truncating it. */
-    bool resumeJournal = false;
     /**
-     * Cross-run content-addressed verdict cache directory (--cache;
+     * Crash-safe, content-addressed verdict cache directory (--cache;
      * "" disables). Each SVA query is keyed by a hash of its COI
-     * slice, property encoding, and bound, so re-synthesis of the
-     * same or a near-identical design re-solves only the queries
-     * whose content actually changed. Deliberately NOT keyed by
-     * --jobs or solver budgets: those change how fast a verdict is
-     * found, never what the verdict is.
+     * slice, property encoding, and bound, so a killed run restarted
+     * on the same directory, or re-synthesis of the same or a
+     * near-identical design, re-solves only the queries whose verdict
+     * is not yet stored. Deliberately NOT keyed by --jobs or solver
+     * budgets: those change how fast a verdict is found, never what
+     * the verdict is.
      */
     std::string cacheDir;
     /**
@@ -162,14 +157,6 @@ struct SynthesisOptions
      * sequential requests can warm the same in-memory instance.
      */
     bmc::VerdictCache *cache = nullptr;
-    /**
-     * Directory of per-configuration resume journals (the service's
-     * crash-recovery state): the run journals into
-     * <journalDir>/<configHash>.r2uj with resume semantics and flock
-     * single-writer protection; a lock conflict degrades to running
-     * journal-less with a warning. Ignored when journalPath is set.
-     */
-    std::string journalDir;
     /** Dump each refutation's replayed trace as VCD ("" disables). */
     std::string cexVcdDir;
     /** Fault-injection test seam, forwarded to the engine. */
@@ -224,11 +211,8 @@ struct SynthesisResult
     uint64_t validationMismatches = 0;
     /** Verdicts degraded to Unknown by the validation layer. */
     uint64_t validationFailures = 0;
-    /** SVAs answered from the resume journal without solving. */
-    uint64_t journalHits = 0;
-    uint64_t journalAppends = 0;
 
-    // --- cross-run verdict cache accounting (run level) ---
+    // --- verdict cache accounting (run level) ---
     /** True when a --cache directory was in use this run. */
     bool cacheEnabled = false;
     /** SVAs answered from the verdict cache without solving. */

@@ -14,7 +14,7 @@
  *   stall-ms=MS  how long each injected stall holds on (default
  *                10000; the watchdog is expected to cut it short)
  *   torn=N       fail the next N verdict-cache appends after writing
- *                half the frame (Journal/VerdictCache::setWriteFault)
+ *                half the frame (VerdictCache::setWriteFault)
  *   drop=N       close the next N client connections right before the
  *                response frame (client must reconnect + re-issue)
  *

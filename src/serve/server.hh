@@ -6,9 +6,9 @@
  * length-prefixed JSON protocol (serve/protocol.hh). Light requests
  * (ping/status/shutdown) are answered on the connection thread; heavy
  * requests (synthesize, campaign) are dispatched onto a work-stealing
- * ThreadPool over a shared cross-request VerdictCache and per-design
- * resume journals, so most traffic — re-checks of near-identical
- * designs — replays verdicts instead of re-solving them.
+ * ThreadPool over one shared cross-request VerdictCache, so most
+ * traffic — re-checks of near-identical designs — replays verdicts
+ * instead of re-solving them.
  *
  * Robustness model, in the order things fail:
  *
@@ -30,11 +30,11 @@
  *    verdict the first attempt finished is already in the cache.
  *  - Graceful drain: SIGTERM/shutdown stops accepting, clamps every
  *    in-flight deadline to drainSeconds, lets requests finish or
- *    degrade, and exits 0. Journal/cache appends are fsync'd as they
+ *    degrade, and exits 0. Cache appends are fsync'd as they
  *    land, so there is nothing left to flush.
  *  - Crash recovery: kill -9 loses only in-flight queries. On
- *    restart the per-configuration journals and the verdict cache
- *    replay every fsync'd verdict, so re-issued requests mostly hit.
+ *    restart the verdict cache replays every fsync'd verdict, so
+ *    re-issued requests mostly hit.
  *
  * The chaos harness (serve/chaos.hh) injects solver stalls, torn
  * cache appends, and dropped client connections to prove each of
@@ -54,7 +54,7 @@
 #include <thread>
 #include <vector>
 
-#include "bmc/journal.hh"
+#include "bmc/verdict_cache.hh"
 #include "common/thread_pool.hh"
 #include "serve/chaos.hh"
 #include "serve/json.hh"
@@ -73,8 +73,7 @@ struct ServerOptions
     std::string socketPath;
     /**
      * Persistent state directory ("" = fully in-memory): the shared
-     * verdict cache lives in <stateDir>/cache and per-configuration
-     * resume journals in <stateDir>/journal. This is what makes
+     * verdict cache lives in <stateDir>/cache. This is what makes
      * kill -9 recovery work.
      */
     std::string stateDir;
@@ -213,7 +212,6 @@ class Server
 
     bmc::VerdictCache cache_;
     bool cache_open_ = false;
-    std::string journal_dir_;
 
     std::mutex inflight_mu_;
     std::vector<std::shared_ptr<Inflight>> inflight_;

@@ -1,10 +1,10 @@
 /**
  * @file
- * Hand-encoded verdict-store records for wire-format tests of the run
- * journal and the verdict cache. The encoding is spelled out here, byte
- * by byte, independently of bmc/journal.cc, so a change to the stored
- * format (or to a VerdictSource byte value) shows up as a failing
- * test instead of silently dropping records written by older builds:
+ * Hand-encoded verdict-cache records for wire-format tests. The
+ * encoding is spelled out here, byte by byte, independently of
+ * bmc/verdict_cache.cc, so a change to the stored format (or to a
+ * VerdictSource byte value) shows up as a failing test instead of
+ * silently dropping records written by older builds:
  *
  *   frame   = u32 payload length, u64 FNV-1a-64 of the payload, payload
  *   payload = u64 key, u64 baseKey, u8 verdict, u8 source, u8 flags,
@@ -35,7 +35,7 @@ putRaw(std::vector<uint8_t> &buf, T v)
     buf.insert(buf.end(), raw, raw + sizeof(T));
 }
 
-/** Append one record frame to an open journal or cache file. */
+/** Append one record frame to a verdicts.r2uc file. */
 inline void
 appendRawRecord(const std::string &path, uint64_t key,
                 uint8_t verdict_byte, uint8_t source_byte,

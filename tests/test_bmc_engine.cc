@@ -560,13 +560,15 @@ TEST(BmcEngine, VscaleSlicedMatchesFullUnroll)
         EXPECT_GT(rec.coiCells, 0u) << rec.name;
 }
 
-TEST(BmcEngine, VscaleJournalResumeIdentity)
+// A killed run resumes through --cache: every verdict that reached
+// the store before the kill replays, the torn tail is dropped and its
+// query re-solved, and the model comes out bit-for-bit the same.
+TEST(BmcEngine, VscaleCacheResumeIdentity)
 {
     namespace fs = std::filesystem;
-    std::string journal =
-        (fs::path(::testing::TempDir()) / "vscale_journal.bin")
-            .string();
-    fs::remove(journal);
+    std::string dir =
+        (fs::path(::testing::TempDir()) / "vscale_resume").string();
+    fs::remove_all(dir);
 
     auto design = vscale::elaborateVscale(formalConfig());
     auto md = vscale::vscaleMetadata(formalConfig());
@@ -574,11 +576,11 @@ TEST(BmcEngine, VscaleJournalResumeIdentity)
     rtl2uspec::SynthesisOptions opts;
     opts.jobs = 2;
     opts.validate = bmc::ValidateMode::Replay;
-    opts.journalPath = journal;
+    opts.cacheDir = dir;
     auto first = rtl2uspec::synthesize(design, md, opts);
     ASSERT_EQ(first.unknownSvas, 0u);
-    EXPECT_GT(first.journalAppends, 0u);
-    EXPECT_EQ(first.journalHits, 0u);
+    EXPECT_GT(first.cacheAppends, 0u);
+    EXPECT_EQ(first.cacheHits, 0u);
     EXPECT_EQ(first.validationMismatches, 0u);
     EXPECT_EQ(first.validationFailures, 0u);
 
@@ -594,28 +596,17 @@ TEST(BmcEngine, VscaleJournalResumeIdentity)
     EXPECT_GT(refuted, 0u);
     EXPECT_GE(first.replays, refuted);
 
-    // Resume at a different --jobs: every definite verdict is answered
-    // from the journal (no solving, no replaying) and the synthesized
-    // model is bit-identical.
-    opts.jobs = 3;
-    opts.resumeJournal = true;
-    auto resumed = rtl2uspec::synthesize(design, md, opts);
-    EXPECT_EQ(resumed.journalHits, first.journalAppends);
-    EXPECT_EQ(resumed.replays, 0u);
-    for (const auto &sva : resumed.svas)
-        EXPECT_TRUE(sva.fromJournal) << sva.name;
-    expectSameSynthesis(first, resumed);
-
-    // Simulated kill mid-append: chop a few bytes off the journal's
+    // Simulated kill mid-append: chop a few bytes off the store's
     // tail. The torn record is dropped, its query re-solved (and
-    // re-journaled), and the model still comes out bit-for-bit the
-    // same.
-    fs::resize_file(journal, fs::file_size(journal) - 3);
-    opts.jobs = 1;
-    auto repaired = rtl2uspec::synthesize(design, md, opts);
-    EXPECT_EQ(repaired.journalHits, first.journalAppends - 1);
-    EXPECT_EQ(repaired.journalAppends, 1u);
-    expectSameSynthesis(first, repaired);
+    // re-appended) at a different --jobs, and every other verdict
+    // replays.
+    std::string file = (fs::path(dir) / "verdicts.r2uc").string();
+    fs::resize_file(file, fs::file_size(file) - 3);
+    opts.jobs = 3;
+    auto resumed = rtl2uspec::synthesize(design, md, opts);
+    EXPECT_EQ(resumed.cacheHits, first.cacheAppends - 1);
+    EXPECT_EQ(resumed.cacheAppends, 1u);
+    expectSameSynthesis(first, resumed);
 }
 
 TEST(BmcEngine, VscaleCacheWarmRunIdentity)
@@ -660,14 +651,7 @@ TEST(BmcEngine, VscaleCacheWarmRunIdentity)
         if (sva.verdict == bmc::Verdict::Refuted)
             EXPECT_TRUE(sva.validated) << sva.name;
 
-    // The cache composes with the journal: a journaled warm run
-    // prefers this-run restart state but still lands on the same
-    // model.
-    std::string journal =
-        (fs::path(::testing::TempDir()) / "vscale_cache_journal.bin")
-            .string();
-    fs::remove(journal);
-    opts.journalPath = journal;
+    // And again on a single worker.
     opts.jobs = 1;
     auto warm2 = rtl2uspec::synthesize(design, md, opts);
     EXPECT_EQ(warm2.cacheHits, cold.cacheAppends);

@@ -7,9 +7,9 @@
  * influence — an edit outside a cone leaves its hash (and any cached
  * verdict keyed by it) intact, an edit inside changes it.
  *
- * The journal regression at the bottom is the bug this issue fixes:
- * two designs the old count-mixing configHash() could not tell apart
- * must now reject each other's journals.
+ * The store regression at the bottom is the bug this hash fixes: two
+ * designs an element-count fingerprint could not tell apart must miss
+ * each other's stored verdicts.
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +17,8 @@
 #include <filesystem>
 #include <string>
 
-#include "bmc/journal.hh"
+#include "bmc/verdict_cache.hh"
 #include "common/bits.hh"
-#include "common/logging.hh"
 #include "netlist/coi.hh"
 #include "netlist/hash.hh"
 #include "netlist/netlist.hh"
@@ -166,33 +165,55 @@ TEST(NetlistHash, ConeHashSeesMemoryWritePortRewiring)
     EXPECT_NE(nl::coneHash(base.n, seeds), nl::coneHash(wire.n, seeds));
 }
 
-// End-to-end journal regression: a journal produced by one design must
-// be rejected by a same-shaped design with different logic, because
-// the config binding is now the structural hash, not element counts.
-TEST(NetlistHash, SameShapeDesignRejectsForeignJournal)
+// End-to-end store regression: a verdict stored for one design must
+// miss for a same-shaped design with different logic, because the
+// store key is a structural content hash, not element counts. Both
+// key flavours synthesis uses are checked: the per-query cone hash
+// and the whole-netlist hash (--full-unroll). The misses read as
+// invalidations: same names and bound, new content.
+TEST(NetlistHash, SameShapeDesignMissesForeignVerdict)
 {
     TwoCone base(nl::CellKind::And, nl::CellKind::Add, false, false, 7);
     TwoCone other(nl::CellKind::Or, nl::CellKind::Add, false, false, 7);
+    auto key = [](uint64_t content, const std::string &name) {
+        nl::Fnv64 h;
+        h.u64(content);
+        h.str(name);
+        return h.value();
+    };
+    auto coneKey = [&](const TwoCone &d) {
+        return key(coneOf(d, d.ra), "sva_cone");
+    };
+    auto fullKey = [&](const TwoCone &d) {
+        return key(nl::structuralHash(d.n), "sva_full");
+    };
 
-    fs::path path = fs::path(::testing::TempDir()) / "same_shape.bin";
-    fs::remove(path);
+    std::string dir =
+        (fs::path(::testing::TempDir()) / "same_shape_store").string();
+    fs::remove_all(dir);
     {
-        bmc::Journal j;
-        j.open(path.string(), nl::structuralHash(base.n), false);
-        bmc::Journal::Record rec;
-        rec.key = bmc::journalKey("sva_a", 3, 0x1234);
-        rec.name = "sva_a";
-        rec.verdict = bmc::Verdict::Proven;
-        rec.bound = 3;
-        j.append(rec);
+        bmc::VerdictCache store;
+        store.open(dir);
+        for (auto [k, name] : {std::pair{coneKey(base), "sva_cone"},
+                               std::pair{fullKey(base), "sva_full"}}) {
+            bmc::VerdictCache::Record rec;
+            rec.key = k;
+            rec.name = name;
+            rec.verdict = bmc::Verdict::Proven;
+            rec.bound = 3;
+            ASSERT_TRUE(store.append(rec));
+        }
     }
-    {
-        // Same design resumes fine.
-        bmc::Journal j;
-        j.open(path.string(), nl::structuralHash(base.n), true);
-        EXPECT_EQ(j.numLoaded(), 1u);
-    }
-    bmc::Journal j;
-    EXPECT_THROW(j.open(path.string(), nl::structuralHash(other.n), true),
-                 FatalError);
+
+    bmc::VerdictCache store;
+    store.open(dir);
+    ASSERT_EQ(store.numLoaded(), 2u);
+    // The same design hits...
+    EXPECT_NE(store.lookup(coneKey(base)), nullptr);
+    EXPECT_NE(store.lookup(fullKey(base)), nullptr);
+    // ...the rewired one misses, and knows it is an invalidation.
+    EXPECT_EQ(store.lookup(coneKey(other)), nullptr);
+    EXPECT_EQ(store.lookup(fullKey(other)), nullptr);
+    EXPECT_TRUE(store.hasStaleEntry("sva_cone", 3, coneKey(other)));
+    EXPECT_TRUE(store.hasStaleEntry("sva_full", 3, fullKey(other)));
 }

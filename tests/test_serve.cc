@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -354,8 +355,9 @@ TEST(Serve, OverloadShedsWithExplicitReply)
 // The headline chaos test: stall + torn + drop all armed at once.
 //  - stall freezes the solver heartbeat -> watchdog interrupts -> the
 //    degraded attempt is retried server-side;
-//  - torn tears the first verdict-cache append -> rollback + caching
-//    disabled, store stays loadable;
+//  - torn tears the first verdict-cache append -> rollback, the store
+//    stops writing (keeping new verdicts in memory), stays loadable,
+//    and recovers on restart;
 //  - drop closes the connection before the response -> the client
 //    reconnects and re-issues warm.
 // The surviving response's model must be bit-identical to the
@@ -377,7 +379,7 @@ TEST(Serve, ChaosSuiteEndsBitIdentical)
     opts.hangSeconds = 3.0; // watchdog must cut the 60 s stall short
     opts.requestRetries = 1;
     opts.chaos = &chaos;
-    TestDaemon daemon(std::move(opts));
+    auto daemon = std::make_unique<TestDaemon>(std::move(opts));
 
     Client client;
     std::string err;
@@ -392,31 +394,84 @@ TEST(Serve, ChaosSuiteEndsBitIdentical)
     EXPECT_EQ(chaos.torn.load(), 0);
     EXPECT_EQ(chaos.drop.load(), 0);
     // ...and each recovery path ran.
-    EXPECT_GE(daemon.server.watchdogInterrupts(), 1u);
-    EXPECT_GE(daemon.server.requestRetriesDone(), 1u);
-    ASSERT_NE(daemon.server.cache(), nullptr);
-    EXPECT_TRUE(daemon.server.cache()->disabled());
+    EXPECT_GE(daemon->server.watchdogInterrupts(), 1u);
+    EXPECT_GE(daemon->server.requestRetriesDone(), 1u);
+    ASSERT_NE(daemon->server.cache(), nullptr);
+    EXPECT_TRUE(daemon->server.cache()->disabled());
 
     // The survived request's model is bit-identical to fault-free.
     EXPECT_EQ(resp.getStr("model"), referenceModel());
     EXPECT_FALSE(resp.getBool("interrupted"));
 
-    daemon.stop();
+    std::string store = daemon->server.cache()->filePath();
+    size_t appended = daemon->server.cache()->numAppended();
+    daemon.reset(); // drains, and releases the store's write lock
+    uintmax_t store_bytes = fs::file_size(store);
 
-    // Warm restart on the same state dir: the journals replay, so the
-    // re-issued request answers mostly without solving — and still
-    // bit-identical. (kill -9 instead of a drain is serve_smoke.sh.)
+    // Restart on the same state dir (kill -9 instead of a drain is
+    // serve_smoke.sh). The store loads everything appended before the
+    // torn append, and nothing needs truncating: the torn frame was
+    // already rolled back.
     ServerOptions opts2;
     opts2.socketPath = sock;
     opts2.stateDir = state;
     TestDaemon daemon2(std::move(opts2));
+    ASSERT_NE(daemon2.server.cache(), nullptr);
+    EXPECT_FALSE(daemon2.server.cache()->readOnly());
+    EXPECT_FALSE(daemon2.server.cache()->disabled());
+    EXPECT_EQ(daemon2.server.cache()->numLoaded(), appended);
+    EXPECT_EQ(fs::file_size(store), store_bytes);
+
+    // The re-issued request is bit-identical and stores the verdicts
+    // the disabled store could not take.
     json::Value resp2;
     ASSERT_TRUE(client.requestWithRetry(sock, synthesizeRequest(),
                                         resp2, &err))
         << err;
     ASSERT_TRUE(resp2.getBool("ok")) << resp2.dump();
     EXPECT_EQ(resp2.getStr("model"), referenceModel());
-    EXPECT_GT(resp2.getInt("journal_hits"), 0) << resp2.dump();
+    EXPECT_GT(resp2.getInt("cache_appends"), 0) << resp2.dump();
+
+    // One more re-issue is fully warm: every SVA replays.
+    json::Value resp3;
+    ASSERT_TRUE(client.requestWithRetry(sock, synthesizeRequest(),
+                                        resp3, &err))
+        << err;
+    ASSERT_TRUE(resp3.getBool("ok")) << resp3.dump();
+    EXPECT_EQ(resp3.getStr("model"), referenceModel());
+    EXPECT_EQ(resp3.getInt("cache_hits"), resp3.getInt("svas"))
+        << resp3.dump();
+    EXPECT_EQ(resp3.getInt("cache_misses"), 0) << resp3.dump();
+}
+
+// status's cache.loaded is what the daemon recovered at start-up, not
+// what it has stored since: a cold synthesize on a fresh state dir
+// appends verdicts but loads none.
+TEST(Serve, StatusCountsLoadedVerdictsAtStartOnly)
+{
+    std::string sock = tempPath("serve_status.sock");
+    ServerOptions opts;
+    opts.socketPath = sock;
+    opts.stateDir = tempPath("serve_status_state");
+    TestDaemon daemon(std::move(opts));
+
+    Client client;
+    std::string err;
+    json::Value resp;
+    json::Value req = synthesizeRequest();
+    req.set("jobs", json::Value::number(int64_t{2}));
+    ASSERT_TRUE(client.requestWithRetry(sock, req, resp, &err)) << err;
+    ASSERT_TRUE(resp.getBool("ok")) << resp.dump();
+    EXPECT_GT(resp.getInt("cache_appends"), 0) << resp.dump();
+
+    req = json::Value::object();
+    req.set("type", json::Value::string("status"));
+    ASSERT_TRUE(client.request(req, resp, &err)) << err;
+    const json::Value *cache = resp.find("cache");
+    ASSERT_NE(cache, nullptr) << resp.dump();
+    EXPECT_TRUE(cache->getBool("enabled"));
+    EXPECT_EQ(cache->getInt("loaded"), 0) << resp.dump();
+    EXPECT_GT(cache->getInt("appended"), 0) << resp.dump();
 }
 
 TEST(Serve, CampaignRoundTrip)

@@ -14,8 +14,8 @@
 #include <filesystem>
 
 #include "bmc/engine.hh"
-#include "bmc/journal.hh"
 #include "bmc/validate.hh"
+#include "bmc/verdict_cache.hh"
 #include "sim/simulator.hh"
 
 using namespace r2u;
@@ -432,23 +432,28 @@ TEST(ValidateEngine, ForgedRefutationDegradesToUnknown)
     EXPECT_EQ(engine.stats().validationFailures, 1u);
 }
 
-TEST(ValidateEngine, JournalRoundTripSkipsSolvedQueries)
+TEST(ValidateEngine, CacheRoundTripSkipsSolvedQueries)
 {
     ToyDesign d = makeToy();
-    std::string path =
-        (fs::path(::testing::TempDir()) / "engine_journal.bin")
-            .string();
-    fs::remove(path);
-    constexpr uint64_t kHash = 77;
+    std::string dir =
+        (fs::path(::testing::TempDir()) / "engine_store").string();
+    fs::remove_all(dir);
 
+    // Every query carries a content hash: unhashed queries bypass the
+    // store entirely.
+    auto hashed = [](bmc::Query q, uint64_t content) {
+        q.contentHash = content;
+        return q;
+    };
     // A deliberately under-budgeted query that must come back Unknown:
-    // Unknowns are never journaled (they may resolve under a bigger
-    // budget) and must be re-solved on resume.
-    auto hardQuery = [] {
+    // Unknowns are never stored (they may resolve under a bigger
+    // budget) and must be re-solved when the run resumes.
+    auto hardQuery = [&] {
         bmc::Query q;
         q.name = "php";
         q.bound = kBound;
         q.conflictBudget = 1;
+        q.contentHash = 0x3003;
         q.prop = [](bmc::PropCtx &ctx) {
             auto &cnf = ctx.cnf();
             std::vector<std::vector<sat::Lit>> p(7);
@@ -472,56 +477,59 @@ TEST(ValidateEngine, JournalRoundTripSkipsSolvedQueries)
         };
         return q;
     };
+    auto enqueueAll = [&](bmc::Engine &engine) {
+        engine.enqueue(hashed(toyQuery("toy cex", refutedProp), 0x1001));
+        engine.enqueue(
+            hashed(toyQuery("toy proof", provenProp), 0x2002));
+        engine.enqueue(hardQuery());
+    };
 
     {
-        bmc::Journal j;
-        j.open(path, kHash, /*resume=*/false);
+        bmc::VerdictCache cache;
+        cache.open(dir);
         bmc::EngineOptions eopts;
         eopts.jobs = 1;
         eopts.validate = bmc::ValidateMode::Replay;
-        eopts.journal = &j;
+        eopts.cache = &cache;
         bmc::Engine engine = makeEngine(d, eopts);
-        engine.enqueue(toyQuery("toy cex", refutedProp));
-        engine.enqueue(toyQuery("toy proof", provenProp));
-        engine.enqueue(hardQuery());
+        enqueueAll(engine);
         auto res = engine.drain();
         ASSERT_EQ(res.size(), 3u);
-        EXPECT_TRUE(res[0].journaled);
-        EXPECT_TRUE(res[1].journaled);
+        EXPECT_TRUE(res[0].cached);
+        EXPECT_TRUE(res[1].cached);
         EXPECT_EQ(res[2].verdict, bmc::Verdict::Unknown);
-        EXPECT_FALSE(res[2].journaled);
-        EXPECT_EQ(j.numAppended(), 2u);
-        EXPECT_EQ(engine.stats().journalAppends, 2u);
+        EXPECT_FALSE(res[2].cached);
+        EXPECT_EQ(cache.numAppended(), 2u);
+        EXPECT_EQ(engine.stats().cacheAppends, 2u);
     }
 
     // Resume at a different parallelism: the two definite verdicts
-    // come from the journal (no solving, no replaying), the Unknown is
+    // come from the store (no solving, no replaying), the Unknown is
     // re-solved from scratch.
-    bmc::Journal j;
-    j.open(path, kHash, /*resume=*/true);
-    ASSERT_EQ(j.numLoaded(), 2u);
+    bmc::VerdictCache cache;
+    cache.open(dir);
+    ASSERT_EQ(cache.numLoaded(), 2u);
     bmc::EngineOptions eopts;
     eopts.jobs = 2;
     eopts.validate = bmc::ValidateMode::Replay;
-    eopts.journal = &j;
+    eopts.cache = &cache;
     bmc::Engine engine = makeEngine(d, eopts);
-    engine.enqueue(toyQuery("toy cex", refutedProp));
-    engine.enqueue(toyQuery("toy proof", provenProp));
-    engine.enqueue(hardQuery());
+    enqueueAll(engine);
     auto res = engine.drain();
     ASSERT_EQ(res.size(), 3u);
 
     EXPECT_EQ(res[0].verdict, bmc::Verdict::Refuted);
-    EXPECT_TRUE(res[0].fromJournal);
+    EXPECT_TRUE(res[0].fromCache);
     EXPECT_TRUE(res[0].validated);
     EXPECT_TRUE(res[0].trace.steps.empty());
-    EXPECT_NE(res[0].validationNote.find("resumed from journal"),
+    EXPECT_NE(res[0].validationNote.find("replayed from verdict cache"),
               std::string::npos);
     EXPECT_EQ(res[1].verdict, bmc::Verdict::Proven);
-    EXPECT_TRUE(res[1].fromJournal);
+    EXPECT_TRUE(res[1].fromCache);
     EXPECT_EQ(res[2].verdict, bmc::Verdict::Unknown);
-    EXPECT_FALSE(res[2].fromJournal);
+    EXPECT_FALSE(res[2].fromCache);
 
-    EXPECT_EQ(engine.stats().journalHits, 2u);
+    EXPECT_EQ(engine.stats().cacheHits, 2u);
+    EXPECT_EQ(engine.stats().cacheMisses, 1u);
     EXPECT_EQ(engine.stats().replays, 0u);
 }

@@ -1,13 +1,15 @@
 /**
  * @file
- * Tests for the content-addressed verdict cache (ISSUE 8): durable
- * round-trips across reopens, duplicate-append dedup, lenient
- * recovery (torn tails and corrupt records are dropped, a foreign or
- * damaged header starts fresh instead of aborting), stale-entry
- * diagnostics, and — through a real bmc::Engine over a synthetic
- * multi-cone netlist — the acceptance property that editing one cone
- * re-solves only that cone's queries while every other verdict
- * replays from cache.
+ * Tests for the content-addressed verdict cache, the one durable
+ * verdict store: durable round-trips across reopens, duplicate-append
+ * dedup, lenient recovery (torn tails and corrupt records are dropped,
+ * a foreign or damaged header starts fresh instead of aborting),
+ * fsync-failure rollback, the single-writer lock, unbounded-proof
+ * reuse across bounds, stale-entry diagnostics, and — through a real
+ * bmc::Engine over a synthetic multi-cone netlist — the acceptance
+ * property that editing one cone re-solves only that cone's queries
+ * while every other verdict replays from cache, and that an edited
+ * query whose name survived is re-solved, never replayed.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +21,7 @@
 #include <unordered_map>
 
 #include "bmc/engine.hh"
-#include "bmc/journal.hh"
+#include "bmc/verdict_cache.hh"
 #include "common/bits.hh"
 #include "netlist/hash.hh"
 #include "netlist/netlist.hh"
@@ -39,11 +41,11 @@ tempCacheDir(const std::string &name)
     return p.string();
 }
 
-bmc::Journal::Record
+bmc::VerdictCache::Record
 makeRecord(uint64_t key, const std::string &name,
            bmc::Verdict verdict, unsigned bound)
 {
-    bmc::Journal::Record rec;
+    bmc::VerdictCache::Record rec;
     rec.key = key;
     rec.name = name;
     rec.verdict = verdict;
@@ -76,18 +78,18 @@ flipByte(const std::string &path, uint64_t offset)
 TEST(VerdictCache, RoundTripPersistsAcrossReopens)
 {
     std::string dir = tempCacheDir("vc_roundtrip");
-    std::string file;
     {
         bmc::VerdictCache c;
         c.open(dir); // creates the directory
         ASSERT_TRUE(c.isOpen());
-        file = c.filePath();
         EXPECT_EQ(c.numLoaded(), 0u);
         EXPECT_TRUE(c.append(
             makeRecord(0x111, "a", bmc::Verdict::Proven, 3)));
         EXPECT_TRUE(c.append(
             makeRecord(0x222, "b", bmc::Verdict::Refuted, 3)));
         EXPECT_EQ(c.numAppended(), 2u);
+        // numLoaded() counts what open() read from disk, not appends.
+        EXPECT_EQ(c.numLoaded(), 0u);
     }
     bmc::VerdictCache c;
     c.open(dir);
@@ -96,9 +98,10 @@ TEST(VerdictCache, RoundTripPersistsAcrossReopens)
     ASSERT_NE(c.lookup(0x222), nullptr);
     EXPECT_EQ(c.lookup(0x333), nullptr);
 
-    const bmc::Journal::Record &a = *c.lookup(0x111);
+    const bmc::VerdictCache::Record &a = *c.lookup(0x111);
     EXPECT_EQ(a.name, "a");
     EXPECT_EQ(a.verdict, bmc::Verdict::Proven);
+    EXPECT_EQ(a.source, bmc::VerdictSource::Solve);
     EXPECT_TRUE(a.validated);
     EXPECT_EQ(a.bound, 3u);
     EXPECT_EQ(a.retries, 1u);
@@ -106,7 +109,16 @@ TEST(VerdictCache, RoundTripPersistsAcrossReopens)
     EXPECT_EQ(a.conflicts, 17u);
     EXPECT_EQ(a.propagations, 1717u);
     EXPECT_EQ(c.lookup(0x222)->verdict, bmc::Verdict::Refuted);
-    (void)file;
+
+    // A reopened store accepts further appends without counting them
+    // as loaded, and the next open sees the union.
+    EXPECT_TRUE(c.append(
+        makeRecord(0x333, "c", bmc::Verdict::Proven, 3)));
+    EXPECT_EQ(c.numLoaded(), 2u);
+    EXPECT_EQ(c.numAppended(), 1u);
+    bmc::VerdictCache next;
+    next.open(dir); // read-only: c still holds the write lock
+    EXPECT_EQ(next.numLoaded(), 3u);
 }
 
 // VerdictSource is stored as one byte. Records written by older builds
@@ -234,10 +246,9 @@ TEST(VerdictCache, CorruptRecordIsSkippedNotTrusted)
     EXPECT_EQ(fs::file_size(file), size_after_one);
 }
 
-// Unlike the run journal (whose config mismatch is fatal — resuming
-// the wrong journal means the user pointed --resume at the wrong
-// file), a shared cache with an unrecognized header is just not a
-// cache we can use: warn, start fresh, keep going.
+// A store with an unrecognized header is just not a store we can
+// use: warn, start fresh, keep going. It can only cost re-solves, so
+// it must never abort the run.
 TEST(VerdictCache, DamagedHeaderStartsFreshNotFatal)
 {
     std::string dir = tempCacheDir("vc_header");
@@ -328,12 +339,48 @@ struct ConeDesign
     }
 };
 
+/** "r_i holds its power-on value at frame 0": Proven at any bound. */
+bmc::Query
+initHoldsQuery(const ConeDesign &d, int i, const std::string &name,
+               uint64_t content_hash)
+{
+    bmc::Query q;
+    q.name = name;
+    q.contentHash = content_hash;
+    nl::CellId reg = d.regs[i];
+    uint64_t init = d.inits[i];
+    q.prop = [reg, init](bmc::PropCtx &ctx) {
+        auto &cnf = ctx.cnf();
+        return ~cnf.mkEqW(ctx.unroller().wire(0, reg),
+                          cnf.constWord(Bits(8, init)));
+    };
+    return q;
+}
+
+/** "r_i can reach the value k_i at frame 1": Refuted at bound >= 2
+ *  (reachable through both And and Or). */
+bmc::Query
+reachKQuery(const ConeDesign &d, int i, const std::string &name,
+            uint64_t content_hash)
+{
+    bmc::Query q;
+    q.name = name;
+    q.contentHash = content_hash;
+    nl::CellId reg = d.regs[i];
+    uint64_t target = 0x11u * i + 3;
+    q.prop = [reg, target](bmc::PropCtx &ctx) {
+        auto &cnf = ctx.cnf();
+        return cnf.mkEqW(ctx.unroller().wire(1, reg),
+                         cnf.constWord(Bits(8, target)));
+    };
+    return q;
+}
+
 /**
  * Two queries per cone, content-hashed over exactly that cone's
- * slice: "r_i holds its power-on value at frame 0" (Proven) and
- * "r_i can reach the value k_i at frame 1" (Refuted — reachable
- * through both And and Or, so the edit changes the cone, not the
- * verdict). Returns the number of queries enqueued.
+ * slice: initHoldsQuery (Proven) and reachKQuery (Refuted — so the
+ * edit changes the cone, not the verdict). Returns the number of
+ * queries enqueued.
  */
 size_t
 enqueueConeQueries(bmc::Engine &engine, const ConeDesign &d)
@@ -346,29 +393,10 @@ enqueueConeQueries(bmc::Engine &engine, const ConeDesign &d)
             h.str(name);
             return h.value() == 0 ? 1 : h.value();
         };
-
-        bmc::Query proven;
-        proven.name = "init_holds_" + std::to_string(i);
-        proven.contentHash = hashed(proven.name);
-        nl::CellId reg = d.regs[i];
-        uint64_t init = d.inits[i];
-        proven.prop = [reg, init](bmc::PropCtx &ctx) {
-            auto &cnf = ctx.cnf();
-            return ~cnf.mkEqW(ctx.unroller().wire(0, reg),
-                              cnf.constWord(Bits(8, init)));
-        };
-        engine.enqueue(std::move(proven));
-
-        bmc::Query refuted;
-        refuted.name = "reach_k_" + std::to_string(i);
-        refuted.contentHash = hashed(refuted.name);
-        uint64_t target = 0x11u * i + 3;
-        refuted.prop = [reg, target](bmc::PropCtx &ctx) {
-            auto &cnf = ctx.cnf();
-            return cnf.mkEqW(ctx.unroller().wire(1, reg),
-                             cnf.constWord(Bits(8, target)));
-        };
-        engine.enqueue(std::move(refuted));
+        std::string proven = "init_holds_" + std::to_string(i);
+        engine.enqueue(initHoldsQuery(d, i, proven, hashed(proven)));
+        std::string refuted = "reach_k_" + std::to_string(i);
+        engine.enqueue(reachKQuery(d, i, refuted, hashed(refuted)));
     }
     return 2 * kCones;
 }
@@ -480,6 +508,110 @@ TEST(VerdictCache, EngineReplayAndPartialInvalidation)
     }
 }
 
+// The stale-resume regression: a query edited after its verdict was
+// stored keeps its name and bound but gets a new content hash. A
+// resumed run must solve it afresh — here the edit flips the verdict
+// from Proven to Refuted — and count the miss as an invalidation,
+// never replay the stored Proven.
+TEST(VerdictCache, EditedQueryWithSameNameIsSolvedNotReplayed)
+{
+    std::string dir = tempCacheDir("vc_stale_resume");
+    std::unordered_map<std::string, nl::CellId> empty_map;
+    ConeDesign d(nl::CellKind::And);
+    const unsigned kFrames = 2;
+    {
+        bmc::VerdictCache cache;
+        cache.open(dir);
+        bmc::EngineOptions opts;
+        opts.jobs = 1;
+        opts.cache = &cache;
+        bmc::Engine engine(d.n, empty_map, {}, kFrames, opts);
+        engine.enqueue(initHoldsQuery(d, 0, "sva_a", 0xa1));
+        auto res = engine.drain();
+        ASSERT_EQ(res.size(), 1u);
+        ASSERT_EQ(res[0].verdict, bmc::Verdict::Proven);
+        ASSERT_TRUE(res[0].cached);
+    }
+
+    bmc::VerdictCache cache;
+    cache.open(dir);
+    ASSERT_EQ(cache.numLoaded(), 1u);
+    bmc::EngineOptions opts;
+    opts.jobs = 1;
+    opts.cache = &cache;
+    bmc::Engine engine(d.n, empty_map, {}, kFrames, opts);
+    engine.enqueue(reachKQuery(d, 0, "sva_a", 0xa2));
+    auto res = engine.drain();
+    ASSERT_EQ(res.size(), 1u);
+    EXPECT_EQ(res[0].verdict, bmc::Verdict::Refuted);
+    EXPECT_FALSE(res[0].fromCache);
+    EXPECT_TRUE(res[0].cached);
+    EXPECT_EQ(engine.stats().cacheHits, 0u);
+    EXPECT_EQ(engine.stats().cacheMisses, 1u);
+    EXPECT_EQ(engine.stats().cacheInvalidations, 1u);
+    EXPECT_EQ(engine.stats().contexts, 1u);
+}
+
+// Bound semantics: an unbounded Proven record answers the same cone +
+// property (its bound-independent baseHash) at any bound, while a
+// bounded record answers only its exact content key.
+TEST(VerdictCache, UnboundedProofAnswersAnyBound)
+{
+    std::string dir = tempCacheDir("vc_unbounded");
+    std::unordered_map<std::string, nl::CellId> empty_map;
+    ConeDesign d(nl::CellKind::And);
+    {
+        bmc::VerdictCache cache;
+        cache.open(dir);
+        bmc::VerdictCache::Record proof =
+            makeRecord(0xb2, "proof", bmc::Verdict::Proven, 2);
+        proof.unbounded = true;
+        proof.baseKey = 0xbb;
+        ASSERT_TRUE(cache.append(proof));
+        bmc::VerdictCache::Record bounded =
+            makeRecord(0xc2, "bounded", bmc::Verdict::Proven, 2);
+        bounded.baseKey = 0xcc; // not unbounded: must not be indexed
+        ASSERT_TRUE(cache.append(bounded));
+        bmc::VerdictCache::Record cex =
+            makeRecord(0xd2, "cex", bmc::Verdict::Refuted, 2);
+        cex.unbounded = true; // only Proven verdicts generalize
+        cex.baseKey = 0xdd;
+        ASSERT_TRUE(cache.append(cex));
+    }
+
+    bmc::VerdictCache cache;
+    cache.open(dir);
+    ASSERT_EQ(cache.numLoaded(), 3u);
+    ASSERT_NE(cache.lookupUnbounded(0xbb), nullptr);
+    EXPECT_EQ(cache.lookupUnbounded(0xbb)->key, 0xb2u);
+    EXPECT_EQ(cache.lookupUnbounded(0xcc), nullptr);
+    EXPECT_EQ(cache.lookupUnbounded(0xdd), nullptr);
+    EXPECT_EQ(cache.lookupUnbounded(0), nullptr);
+
+    // Ask both proven questions at bound 4: new content keys (the
+    // bound is part of them), same base keys.
+    bmc::EngineOptions opts;
+    opts.jobs = 1;
+    opts.cache = &cache;
+    bmc::Engine engine(d.n, empty_map, {}, 4, opts);
+    bmc::Query proof = initHoldsQuery(d, 0, "proof", 0xb4);
+    proof.baseHash = 0xbb;
+    engine.enqueue(std::move(proof));
+    bmc::Query bounded = initHoldsQuery(d, 1, "bounded", 0xc4);
+    bounded.baseHash = 0xcc;
+    engine.enqueue(std::move(bounded));
+    auto res = engine.drain();
+    ASSERT_EQ(res.size(), 2u);
+    EXPECT_EQ(res[0].verdict, bmc::Verdict::Proven);
+    EXPECT_TRUE(res[0].fromCache);
+    EXPECT_TRUE(res[0].unbounded);
+    EXPECT_EQ(res[0].bound, 4u);
+    EXPECT_EQ(res[1].verdict, bmc::Verdict::Proven);
+    EXPECT_FALSE(res[1].fromCache);
+    EXPECT_EQ(engine.stats().cacheHits, 1u);
+    EXPECT_EQ(engine.stats().cacheMisses, 1u);
+}
+
 // Unknown verdicts must never be cached: an aborted/budgeted query
 // has no answer worth replaying, and caching it would freeze the
 // give-up forever.
@@ -581,12 +713,15 @@ TEST(VerdictCache, SecondOpenerFallsBackToReadOnly)
     // Cached verdicts are served...
     ASSERT_NE(reader.lookup(0x111), nullptr);
     EXPECT_EQ(reader.lookup(0x111)->name, "a");
-    // ...but new ones are not stored, and the store stays untouched.
+    // ...but new ones are not stored, and the store stays untouched;
+    // the reader still remembers them in memory.
     uint64_t size = fs::file_size(writer.filePath());
     EXPECT_FALSE(
         reader.append(makeRecord(0x222, "b", bmc::Verdict::Refuted, 3)));
     EXPECT_EQ(reader.numAppended(), 0u);
     EXPECT_EQ(fs::file_size(writer.filePath()), size);
+    EXPECT_NE(reader.lookup(0x222), nullptr);
+    EXPECT_EQ(writer.lookup(0x222), nullptr);
 
     // The writer is unaffected by the reader's existence.
     EXPECT_TRUE(
@@ -611,8 +746,10 @@ TEST(VerdictCache, WriteLockReleasedOnClose)
 }
 
 // A torn append (chaos "torn", or a full disk) must roll the store
-// back to the last durable frame and disable caching for the run —
-// the file stays loadable and every durable verdict survives.
+// back to the last durable frame and stop writing for the run — the
+// file stays loadable and every durable verdict survives. Verdicts
+// that could not be written still answer lookups from memory until
+// the process ends, so a long-lived daemon does not re-solve them.
 TEST(VerdictCache, TornAppendRollsBackAndDisables)
 {
     std::string dir = tempCacheDir("vc_torn_append");
@@ -637,12 +774,17 @@ TEST(VerdictCache, TornAppendRollsBackAndDisables)
         EXPECT_FALSE(c.append(
             makeRecord(0x333, "c", bmc::Verdict::Proven, 3)));
         EXPECT_EQ(c.numAppended(), 1u);
+        EXPECT_EQ(fs::file_size(file), good);
         // Lookups keep working from memory after the store degrades.
         EXPECT_NE(c.lookup(0x111), nullptr);
+        ASSERT_NE(c.lookup(0x222), nullptr);
+        EXPECT_EQ(c.lookup(0x222)->verdict, bmc::Verdict::Refuted);
+        EXPECT_NE(c.lookup(0x333), nullptr);
     }
     bmc::VerdictCache c;
     c.open(dir);
     EXPECT_EQ(c.numLoaded(), 1u);
     EXPECT_NE(c.lookup(0x111), nullptr);
     EXPECT_EQ(c.lookup(0x222), nullptr);
+    EXPECT_EQ(c.lookup(0x333), nullptr);
 }

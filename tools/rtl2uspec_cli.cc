@@ -37,8 +37,8 @@ using r2u::parseInt64;
 
 // SIGINT/SIGTERM land here; a watcher thread turns the flag into an
 // async Engine::interrupt(), so the run winds down with sound Unknown
-// verdicts, flushes its journal (appends are fsync'd as they land),
-// writes what it has, and exits 5 instead of dying mid-solve.
+// verdicts, keeps every --cache verdict (appends are fsync'd as they
+// land), writes what it has, and exits 5 instead of dying mid-solve.
 std::atomic<bool> g_stop{false};
 
 void
@@ -95,27 +95,22 @@ usage()
         "                  re-check every Nth proof in a fresh\n"
         "                  non-incremental context; mismatches are\n"
         "                  quarantined and degrade to Unknown)\n"
-        "  --journal FILE  crash-safe run journal: validated verdicts\n"
+        "  --cache DIR     crash-safe verdict cache: validated verdicts\n"
         "                  are appended (fsync'd, checksummed) as they\n"
-        "                  land\n"
-        "  --resume        resume from --journal FILE: journaled\n"
-        "                  verdicts are reused instead of re-solved\n"
-        "                  (requires matching design/bound/unroll\n"
-        "                  configuration; any --jobs is fine)\n"
-        "  --cache DIR     cross-run verdict cache: each SVA query is\n"
-        "                  keyed by a content hash of its COI slice,\n"
-        "                  property, and bound; re-synthesis re-solves\n"
-        "                  only queries whose content changed and\n"
-        "                  replays the rest (model is bit-identical;\n"
-        "                  --jobs and budgets do not affect the key)\n"
+        "                  land, keyed by a content hash of each SVA\n"
+        "                  query's COI slice, property, and bound; a\n"
+        "                  killed or repeated run re-solves only what\n"
+        "                  is not stored and replays the rest (model\n"
+        "                  is bit-identical; --jobs and budgets do not\n"
+        "                  affect the key)\n"
         "  --cex-vcd DIR   dump each refutation's replayed trace as a\n"
         "                  per-query VCD waveform under DIR\n"
         "  --quiet         suppress progress output\n"
         "exit codes: 0 ok, 1/2 errors, 3 design bugs found,\n"
         "            4 degraded synthesis (undetermined SVAs, no "
         "bugs),\n"
-        "            5 interrupted (SIGINT/SIGTERM: journal flushed,\n"
-        "            partial model still written)\n");
+        "            5 interrupted (SIGINT/SIGTERM: --cache verdicts\n"
+        "            durable, partial model still written)\n");
 }
 
 } // namespace
@@ -208,10 +203,6 @@ main(int argc, char **argv)
                     fatal("--validate expects off|replay|full|"
                           "sample=N, got '%s'", mode.c_str());
                 }
-            } else if (arg == "--journal") {
-                synth_opts.journalPath = next();
-            } else if (arg == "--resume") {
-                synth_opts.resumeJournal = true;
             } else if (arg == "--cache") {
                 synth_opts.cacheDir = next();
             } else if (arg == "--cex-vcd") {
@@ -247,10 +238,6 @@ main(int argc, char **argv)
     }
     if (top.empty() || meta_path.empty() || files.empty()) {
         usage();
-        return 2;
-    }
-    if (synth_opts.resumeJournal && synth_opts.journalPath.empty()) {
-        std::fprintf(stderr, "error: --resume requires --journal\n");
         return 2;
     }
 
@@ -326,10 +313,9 @@ main(int argc, char **argv)
                             sva.name.c_str(), sva.category.c_str(),
                             bmc::verdictName(sva.verdict),
                             bmc::verdictSourceName(sva.source),
-                            sva.fromJournal  ? "journal"
-                            : sva.fromCache  ? "cache"
-                            : sva.validated  ? "validated"
-                                             : "-",
+                            sva.fromCache   ? "cache"
+                            : sva.validated ? "validated"
+                                            : "-",
                             sva.seconds, sva.cnfVars, sva.cnfClauses,
                             sva.coiCells);
         }
@@ -356,8 +342,8 @@ main(int argc, char **argv)
         }
         if (g_stop.load()) {
             std::fprintf(stderr,
-                         "interrupted: journaled verdicts are durable "
-                         "and the partial model above is sound "
+                         "interrupted: verdicts stored in --cache are "
+                         "durable and the partial model above is sound "
                          "(conservatively weak)\n");
             return 5;
         }

@@ -16,7 +16,7 @@
  * requests finish (or degrade once --drain-timeout passes), unlink the
  * socket, exit 0. kill -9 is also survivable: verdicts are fsync'd to
  * the --state dir as they land, so a restarted daemon answers
- * re-issued requests warm from its journals and verdict cache.
+ * re-issued requests warm from its verdict cache.
  */
 
 #include <atomic>
@@ -52,9 +52,9 @@ usage()
         "       rtl2uspec_serve --connect PATH --json REQUEST\n"
         "daemon options:\n"
         "  --socket PATH        Unix-domain socket to listen on\n"
-        "  --state DIR          persistent state dir (verdict cache +\n"
-        "                       per-design resume journals); omitting\n"
-        "                       it runs fully in-memory\n"
+        "  --state DIR          persistent state dir (the verdict\n"
+        "                       cache in DIR/cache); omitting it runs\n"
+        "                       fully in-memory\n"
         "  --workers N          heavy-request executor threads "
         "(default 2)\n"
         "  --default-jobs N     engine jobs per request unless the\n"
