@@ -13,6 +13,7 @@
 #include <string>
 
 #include "bench_util.hh"
+#include "common/json.hh"
 #include "common/timer.hh"
 
 using namespace r2u;
@@ -300,185 +301,87 @@ main(int argc, char **argv)
     for (const auto &[instr, dot] : result.instrDfgDots)
         writeFile(bench::outPath("dfg_" + instr + ".dot"), dot);
 
-    // Machine-readable summary for scripted comparisons across runs.
+    // Machine-readable summary for scripted comparisons across runs:
+    // the main run's structured report plus the bench-only rows.
     {
-        std::string json = "{\n";
-        json += strfmt("  \"jobs\": %u,\n", result.jobs);
-        json += strfmt("  \"full_unroll\": %s,\n",
-                       result.fullUnroll ? "true" : "false");
-        json += strfmt("  \"unroll_contexts\": %llu,\n",
-                       static_cast<unsigned long long>(
-                           result.unrollContexts));
-        json += strfmt("  \"contexts_seeded\": %llu,\n",
-                       static_cast<unsigned long long>(
-                           result.contextsSeeded));
-        json += strfmt("  \"svas\": %zu,\n", result.svas.size());
-        json += strfmt("  \"unknown_svas\": %zu,\n",
-                       static_cast<size_t>(result.unknownSvas));
-        json += strfmt("  \"degraded\": %zu,\n",
-                       result.degraded.size());
-        json += strfmt("  \"static_seconds\": %.3f,\n",
-                       result.staticSeconds);
-        json += strfmt("  \"proof_seconds\": %.3f,\n",
-                       result.proofSeconds);
-        json += strfmt("  \"post_seconds\": %.3f,\n",
-                       result.postSeconds);
-        json += strfmt("  \"total_seconds\": %.3f,\n",
-                       result.totalSeconds);
-        json += strfmt("  \"solve_seconds_p50\": %.4f,\n", solve_p50);
-        json += strfmt("  \"solve_seconds_p95\": %.4f,\n", solve_p95);
-        json += strfmt("  \"cnf_vars_mean\": %.1f,\n",
-                       result.meanCnfVars);
-        json += strfmt("  \"cnf_clauses_mean\": %.1f,\n",
-                       result.meanCnfClauses);
-        json += "  \"queries\": [\n";
-        for (size_t i = 0; i < result.svas.size(); i++) {
-            const auto &sva = result.svas[i];
-            json += strfmt("    {\"name\": \"%s\", \"category\": "
-                           "\"%s\", \"verdict\": \"%s\", \"source\": "
-                           "\"%s\", \"retries\": %u, "
-                           "\"seconds\": %.4f, \"cnf_vars\": "
-                           "%zu, \"cnf_clauses\": %zu, \"coi_cells\": "
-                           "%zu}%s\n",
-                           sva.name.c_str(), sva.category.c_str(),
-                           bmc::verdictName(sva.verdict),
-                           bmc::verdictSourceName(sva.source),
-                           sva.retries,
-                           sva.seconds, sva.cnfVars, sva.cnfClauses,
-                           sva.coiCells,
-                           i + 1 < result.svas.size() ? "," : "");
+        using json::Value;
+        auto num = [](double n) { return Value::number(n); };
+        auto flag = Value::boolean_;
+
+        Value coi_cells = Value::object();
+        for (const auto &sva : result.svas)
+            coi_cells.set(sva.name, num(sva.coiCells));
+
+        Value coi = Value::object();
+        coi.set("eager_proof_seconds", num(eager.proofSeconds))
+            .set("sliced_proof_seconds", num(sliced.proofSeconds))
+            .set("eager_cnf_vars_mean", num(eager.meanCnfVars))
+            .set("sliced_cnf_vars_mean", num(sliced.meanCnfVars))
+            .set("eager_cnf_clauses_mean", num(eager.meanCnfClauses))
+            .set("sliced_cnf_clauses_mean", num(sliced.meanCnfClauses))
+            .set("proof_speedup",
+                 num(eager.proofSeconds / sliced.proofSeconds))
+            .set("cnf_var_reduction",
+                 num(eager.meanCnfVars / sliced.meanCnfVars))
+            .set("models_identical",
+                 flag(eager.model.print() == sliced.model.print()));
+
+        Value sat_config = Value::object();
+        sat_config.set("default_proof_seconds", num(result.proofSeconds))
+            .set("inprocess_runs", num(result.inprocessRuns))
+            .set("inprocess_clauses_removed",
+                 num(result.inprocessClausesRemoved));
+
+        Value engines = Value::object();
+        engines.set("bmc_proof_seconds", num(bmc_run.proofSeconds))
+            .set("race_proof_seconds", num(race_run.proofSeconds))
+            .set("race", *race_run.jsonReport().find("engine"))
+            .set("race_model_identical", flag(engine_same));
+
+        Value scaling = Value::array();
+        for (const auto &row : scale_rows) {
+            Value r = Value::object();
+            r.set("jobs", num(row.jobs))
+                .set("proof_seconds", num(row.res.proofSeconds))
+                .set("total_seconds", num(row.res.totalSeconds))
+                .set("races", num(row.res.engineRaces))
+                .set("unbounded_proofs", num(row.res.unboundedProofs))
+                .set("model_identical",
+                     flag(row.res.model.print() ==
+                          race_run.model.print()));
+            scaling.push(std::move(r));
         }
-        json += "  ],\n";
-        json += "  \"validation\": {\n";
-        json += strfmt("    \"mode\": \"%s\",\n",
-                       result.validateMode.c_str());
-        json += strfmt("    \"replays\": %zu,\n",
-                       static_cast<size_t>(result.replays));
-        json += strfmt("    \"proof_rechecks\": %zu,\n",
-                       static_cast<size_t>(result.proofRechecks));
-        json += strfmt("    \"recheck_inconclusive\": %zu,\n",
-                       static_cast<size_t>(result.recheckInconclusive));
-        json += strfmt("    \"mismatches\": %zu,\n",
-                       static_cast<size_t>(
-                           result.validationMismatches));
-        json += strfmt("    \"validation_failures\": %zu,\n",
-                       static_cast<size_t>(result.validationFailures));
-        json += strfmt("    \"replay_s\": %.4f,\n",
-                       result.replaySeconds);
-        json += strfmt("    \"recheck_s\": %.4f,\n",
-                       result.recheckSeconds);
-        json += strfmt("    \"validate_s\": %.4f,\n",
-                       result.validateSeconds);
-        json += strfmt("    \"proof_s\": %.4f,\n",
-                       result.proofSeconds);
-        json += strfmt("    \"replay_overhead_fraction\": %.5f\n",
-                       replay_overhead);
-        json += "  },\n";
-        json += "  \"cache\": {\n";
-        json += strfmt("    \"enabled\": %s,\n",
-                       result.cacheEnabled ? "true" : "false");
-        json += strfmt("    \"hits\": %zu,\n",
-                       static_cast<size_t>(result.cacheHits));
-        json += strfmt("    \"misses\": %zu,\n",
-                       static_cast<size_t>(result.cacheMisses));
-        json += strfmt("    \"invalidations\": %zu,\n",
-                       static_cast<size_t>(result.cacheInvalidations));
-        json += strfmt("    \"appends\": %zu\n",
-                       static_cast<size_t>(result.cacheAppends));
-        json += "  },\n";
-        json += "  \"coi_comparison\": {\n";
-        json += strfmt("    \"eager_proof_seconds\": %.3f,\n",
-                       eager.proofSeconds);
-        json += strfmt("    \"sliced_proof_seconds\": %.3f,\n",
-                       sliced.proofSeconds);
-        json += strfmt("    \"eager_cnf_vars_mean\": %.1f,\n",
-                       eager.meanCnfVars);
-        json += strfmt("    \"sliced_cnf_vars_mean\": %.1f,\n",
-                       sliced.meanCnfVars);
-        json += strfmt("    \"eager_cnf_clauses_mean\": %.1f,\n",
-                       eager.meanCnfClauses);
-        json += strfmt("    \"sliced_cnf_clauses_mean\": %.1f,\n",
-                       sliced.meanCnfClauses);
-        json += strfmt("    \"proof_speedup\": %.3f,\n",
-                       eager.proofSeconds / sliced.proofSeconds);
-        json += strfmt("    \"cnf_var_reduction\": %.3f,\n",
-                       eager.meanCnfVars / sliced.meanCnfVars);
-        json += strfmt("    \"models_identical\": %s\n",
-                       eager.model.print() == sliced.model.print()
-                           ? "true"
-                           : "false");
-        json += "  },\n";
-        json += "  \"sat_config\": {\n";
-        json += strfmt("    \"default_proof_seconds\": %.3f,\n",
-                       result.proofSeconds);
-        json += strfmt("    \"inprocess_runs\": %zu,\n",
-                       static_cast<size_t>(result.inprocessRuns));
-        json += strfmt("    \"inprocess_clauses_removed\": %zu\n",
-                       static_cast<size_t>(
-                           result.inprocessClausesRemoved));
-        json += "  },\n";
-        json += "  \"engine\": {\n";
-        json += strfmt("    \"mode\": \"%s\",\n",
-                       result.engineMode.c_str());
-        json += strfmt("    \"bmc_proof_seconds\": %.3f,\n",
-                       bmc_run.proofSeconds);
-        json += strfmt("    \"race_proof_seconds\": %.3f,\n",
-                       race_run.proofSeconds);
-        json += strfmt("    \"races\": %zu,\n",
-                       static_cast<size_t>(race_run.engineRaces));
-        json += strfmt("    \"bmc_wins\": %zu,\n",
-                       static_cast<size_t>(race_run.bmcWins));
-        json += strfmt("    \"kind_wins\": %zu,\n",
-                       static_cast<size_t>(race_run.kindWins));
-        json += strfmt("    \"pdr_wins\": %zu,\n",
-                       static_cast<size_t>(race_run.pdrWins));
-        json += strfmt("    \"unbounded_proofs\": %zu,\n",
-                       static_cast<size_t>(race_run.unboundedProofs));
-        json += strfmt("    \"pdr_frames\": %zu,\n",
-                       static_cast<size_t>(race_run.pdrFrames));
-        json += strfmt("    \"pdr_obligations\": %zu,\n",
-                       static_cast<size_t>(race_run.pdrObligations));
-        json += strfmt("    \"race_model_identical\": %s\n",
-                       engine_same ? "true" : "false");
-        json += "  },\n";
-        json += "  \"scaling\": [\n";
-        for (size_t i = 0; i < scale_rows.size(); i++) {
-            const auto &row = scale_rows[i];
-            json += strfmt(
-                "    {\"jobs\": %u, \"proof_seconds\": %.3f, "
-                "\"total_seconds\": %.3f, \"races\": %zu, "
-                "\"unbounded_proofs\": %zu, "
-                "\"model_identical\": %s}%s\n",
-                row.jobs, row.res.proofSeconds, row.res.totalSeconds,
-                static_cast<size_t>(row.res.engineRaces),
-                static_cast<size_t>(row.res.unboundedProofs),
-                row.res.model.print() == race_run.model.print()
-                    ? "true"
-                    : "false",
-                i + 1 < scale_rows.size() ? "," : "");
-        }
-        json += "  ],\n";
-        json += "  \"categories\": {\n";
-        bool first = true;
+
+        Value categories = Value::object();
         for (const auto &[cat, cs] : result.stats) {
-            if (!first)
-                json += ",\n";
-            first = false;
-            json += strfmt("    \"%s\": {\"svas\": %d, \"seconds\": "
-                           "%.3f, \"hyp_local\": %d, \"hyp_global\": "
-                           "%d, \"hbi_local\": %d, \"hbi_global\": %d}",
-                           cat.c_str(), cs.svas, cs.seconds,
-                           cs.hypLocal, cs.hypGlobal, cs.hbiLocal,
-                           cs.hbiGlobal);
+            Value c = Value::object();
+            c.set("svas", num(cs.svas))
+                .set("seconds", num(cs.seconds))
+                .set("hyp_local", num(cs.hypLocal))
+                .set("hyp_global", num(cs.hypGlobal))
+                .set("hbi_local", num(cs.hbiLocal))
+                .set("hbi_global", num(cs.hbiGlobal));
+            categories.set(cat, std::move(c));
         }
-        json += "\n  }\n}\n";
-        writeFile(bench::outPath("BENCH_fig5.json"), json);
+
+        Value doc = Value::object();
+        doc.set("report", result.jsonReport())
+            .set("solve_seconds_p50", num(solve_p50))
+            .set("solve_seconds_p95", num(solve_p95))
+            .set("replay_overhead_fraction", num(replay_overhead))
+            .set("coi_cells", std::move(coi_cells))
+            .set("coi_comparison", std::move(coi))
+            .set("sat_config", std::move(sat_config))
+            .set("engine_comparison", std::move(engines))
+            .set("scaling", std::move(scaling))
+            .set("categories", std::move(categories));
+        writeFile(bench::outPath("BENCH_fig5.json"), doc.dump() + "\n");
         std::printf("  JSON summary written to %s\n",
                     bench::outPath("BENCH_fig5.json").c_str());
     }
 
     if (!report_path.empty()) {
-        writeFile(report_path, result.jsonReport());
+        writeFile(report_path, result.jsonReport().dump() + "\n");
         std::printf("  structured run report written to %s\n",
                     report_path.c_str());
     }

@@ -18,6 +18,7 @@
 #include "bench_util.hh"
 #include "check/campaign.hh"
 #include "check/check.hh"
+#include "common/json.hh"
 #include "common/strutil.hh"
 #include "common/timer.hh"
 #include "litmus/litmus.hh"
@@ -242,33 +243,30 @@ main()
     std::printf("outcome sets / verdict flags identical in all "
                 "configurations: %s\n", identical ? "yes" : "NO");
 
-    std::string json = "{\n";
-    json += strfmt("  \"suite_tests\": %zu,\n", n);
-    json += strfmt("  \"host_cpus\": %u,\n", cpus);
-    json += strfmt("  \"seed_sequential_ms\": %.3f,\n", seed.ms);
-    json += "  \"rows\": [\n";
-    for (size_t i = 0; i < rows.size(); i++) {
-        const Row &r = rows[i];
-        json += strfmt("    {\"name\": \"%s\", \"jobs\": %u, "
-                       "\"prune\": %s, \"wall_ms\": %.3f, "
-                       "\"explored\": %lld, \"pruned\": %lld, "
-                       "\"branches\": %lld}%s\n",
-                       r.name.c_str(), r.jobs,
-                       r.prune ? "true" : "false", r.ms, r.explored,
-                       r.pruned, r.branches,
-                       i + 1 < rows.size() ? "," : "");
+    using json::Value;
+    auto num = [](double n) { return Value::number(n); };
+    Value rows_json = Value::array();
+    for (const Row &r : rows) {
+        Value row = Value::object();
+        row.set("name", Value::string(r.name))
+            .set("jobs", num(r.jobs))
+            .set("prune", Value::boolean_(r.prune))
+            .set("wall_ms", num(r.ms))
+            .set("explored", num(r.explored))
+            .set("pruned", num(r.pruned))
+            .set("branches", num(r.branches));
+        rows_json.push(std::move(row));
     }
-    json += "  ],\n";
-    json += strfmt("  \"speedup_jobs4_pruned_vs_seed\": %.3f,\n",
-                   speedup_j4);
-    json += strfmt("  \"speedup_jobs4_exhaustive_vs_seed\": %.3f,\n",
-                   speedup_j4_ex);
-    json += strfmt("  \"speedup_pruned_vs_exhaustive_jobs1\": %.3f,\n",
-                   speedup_prune_j1);
-    json += strfmt("  \"identical_outcomes\": %s\n",
-                   identical ? "true" : "false");
-    json += "}\n";
-    writeFile(bench::outPath("BENCH_litmus.json"), json);
+    Value doc = Value::object();
+    doc.set("suite_tests", num(n))
+        .set("host_cpus", num(cpus))
+        .set("seed_sequential_ms", num(seed.ms))
+        .set("rows", std::move(rows_json))
+        .set("speedup_jobs4_pruned_vs_seed", num(speedup_j4))
+        .set("speedup_jobs4_exhaustive_vs_seed", num(speedup_j4_ex))
+        .set("speedup_pruned_vs_exhaustive_jobs1", num(speedup_prune_j1))
+        .set("identical_outcomes", Value::boolean_(identical));
+    writeFile(bench::outPath("BENCH_litmus.json"), doc.dump() + "\n");
     std::printf("JSON summary written to %s\n",
                 bench::outPath("BENCH_litmus.json").c_str());
 

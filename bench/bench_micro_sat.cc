@@ -14,6 +14,7 @@
 #include "bench_util.hh"
 #include "bmc/checker.hh"
 #include "check/check.hh"
+#include "common/json.hh"
 #include "common/timer.hh"
 #include "litmus/litmus.hh"
 #include "mcm/sc_ref.hh"
@@ -269,28 +270,26 @@ writeSatJson()
         row.seconds = t.seconds();
     }
 
-    std::string json = "{\n";
-    json += strfmt("  \"corpus_queries\": %zu,\n", corpus.size());
-    json += strfmt("  \"corpus_bound\": %u,\n", kCorpusBound);
-    json += strfmt("  \"corpus_vars_mean\": %.0f,\n",
-                   [&] {
-                       double v = 0;
-                       for (const auto &q : corpus)
-                           v += q.numVars;
-                       return corpus.empty() ? 0.0 : v / corpus.size();
-                   }());
-    json += "  \"configs\": {\n";
-    for (int i = 0; i < 2; i++) {
-        json += strfmt("    \"%s\": {\"seconds\": %.4f, "
-                       "\"verdicts_agree\": %s, "
-                       "\"inprocess_runs\": %llu}%s\n",
-                       rows[i].name, rows[i].seconds,
-                       rows[i].verdictsAgree ? "true" : "false",
-                       static_cast<unsigned long long>(rows[i].extra),
-                       i + 1 < 2 ? "," : "");
+    using json::Value;
+    auto num = [](double n) { return Value::number(n); };
+    double vars = 0;
+    for (const auto &q : corpus)
+        vars += q.numVars;
+    Value configs = Value::object();
+    for (const Row &row : rows) {
+        Value c = Value::object();
+        c.set("seconds", num(row.seconds))
+            .set("verdicts_agree", Value::boolean_(row.verdictsAgree))
+            .set("inprocess_runs", num(row.extra));
+        configs.set(row.name, std::move(c));
     }
-    json += "  }\n}\n";
-    writeFile(bench::outPath("BENCH_sat.json"), json);
+    Value doc = Value::object();
+    doc.set("corpus_queries", num(corpus.size()))
+        .set("corpus_bound", num(kCorpusBound))
+        .set("corpus_vars_mean",
+             num(corpus.empty() ? 0.0 : vars / corpus.size()))
+        .set("configs", std::move(configs));
+    writeFile(bench::outPath("BENCH_sat.json"), doc.dump() + "\n");
     std::printf("SAT corpus summary written to %s\n",
                 bench::outPath("BENCH_sat.json").c_str());
 }

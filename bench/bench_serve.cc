@@ -20,7 +20,7 @@
 #include "common/strutil.hh"
 #include "common/timer.hh"
 #include "serve/client.hh"
-#include "serve/json.hh"
+#include "common/json.hh"
 #include "serve/server.hh"
 
 using namespace r2u;
@@ -100,7 +100,8 @@ main()
     }
     std::string model_fnv = resp.getStr("model_fnv");
     std::printf("cold synthesize: %.1f ms (%lld queries solved)\n",
-                cold_ms, resp.getInt("cache_misses"));
+                cold_ms,
+                static_cast<long long>(resp.getInt("cache_misses")));
 
     // Warm: the verdict cache replays every verdict; this
     // is the steady-state cost of re-checking an unchanged design.
@@ -153,19 +154,19 @@ main()
     daemon.join();
     fs::remove_all(tmp);
 
-    std::string json = "{\n";
-    json += strfmt("  \"cold_synthesize_ms\": %.3f,\n", cold_ms);
-    json += strfmt("  \"warm_requests\": %d,\n", warm_iters);
-    json += strfmt("  \"warm_synthesize_p50_ms\": %.3f,\n", warm_p50);
-    json += strfmt("  \"warm_synthesize_p90_ms\": %.3f,\n", warm_p90);
-    json += strfmt("  \"warm_cache_hits\": %lld,\n", warm_hits);
-    json += strfmt("  \"warm_over_cold\": %.4f,\n", warm_p50 / cold_ms);
-    json += strfmt("  \"ping_requests\": %d,\n", ping_iters);
-    json += strfmt("  \"ping_p50_ms\": %.4f,\n", ping_p50);
-    json += strfmt("  \"ping_p99_ms\": %.4f,\n", ping_p99);
-    json += strfmt("  \"model_fnv\": \"%s\"\n", model_fnv.c_str());
-    json += "}\n";
-    writeFile(bench::outPath("BENCH_serve.json"), json);
+    auto num = [](double n) { return json::Value::number(n); };
+    json::Value doc = json::Value::object();
+    doc.set("cold_synthesize_ms", num(cold_ms))
+        .set("warm_requests", num(warm_iters))
+        .set("warm_synthesize_p50_ms", num(warm_p50))
+        .set("warm_synthesize_p90_ms", num(warm_p90))
+        .set("warm_cache_hits", num(warm_hits))
+        .set("warm_over_cold", num(warm_p50 / cold_ms))
+        .set("ping_requests", num(ping_iters))
+        .set("ping_p50_ms", num(ping_p50))
+        .set("ping_p99_ms", num(ping_p99))
+        .set("model_fnv", json::Value::string(model_fnv));
+    writeFile(bench::outPath("BENCH_serve.json"), doc.dump() + "\n");
     std::printf("JSON summary written to %s\n",
                 bench::outPath("BENCH_serve.json").c_str());
     return 0;

@@ -1068,10 +1068,10 @@ Engine::drain()
             pool_->submit(claimLoop);
         pool_->wait();
 
-        stats_.contexts = 0;
+        stats_.unrollContexts = 0;
         stats_.contextsSeeded = 0;
         for (const auto &w : workers_) {
-            stats_.contexts += w->contexts_built;
+            stats_.unrollContexts += w->contexts_built;
             stats_.contextsSeeded += w->contexts_seeded;
         }
     }

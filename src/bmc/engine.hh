@@ -212,8 +212,9 @@ struct Query
 struct EngineStats
 {
     uint64_t queries = 0;
-    /** Incremental contexts built (one per worker per bound). */
-    uint64_t contexts = 0;
+    /** Incremental contexts built (one per worker per bound): each is
+     *  one transition-relation unroll. */
+    uint64_t unrollContexts = 0;
     /**
      * Contexts warm-started from a sibling's bit-blasted CNF
      * (PropCtx::seedFrom) instead of re-encoding the transition

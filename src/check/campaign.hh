@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "check/check.hh"
+#include "common/json.hh"
 
 namespace r2u::check
 {
@@ -83,7 +84,7 @@ struct CampaignResult
      * totals, plus per-test verdicts, outcome sets, and
      * explored/pruned/branch counts.
      */
-    std::string jsonReport() const;
+    json::Value jsonReport() const;
 };
 
 /** Verify @p tests against @p model with the campaign engine. */

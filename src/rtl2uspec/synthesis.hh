@@ -18,6 +18,7 @@
 
 #include "bmc/checker.hh"
 #include "bmc/engine.hh"
+#include "common/json.hh"
 #include "dfg/dfg.hh"
 #include "rtl2uspec/metadata.hh"
 #include "uspec/uspec.hh"
@@ -175,7 +176,13 @@ struct SynthesisOptions
     static constexpr int64_t kInheritBudget = INT64_MIN;
 };
 
-struct SynthesisResult
+/**
+ * One synthesis run's output. The engine's run-level counters
+ * (validation, verdict cache, proof-engine race, inprocessing, unroll
+ * contexts) are the bmc::EngineStats base, assigned once when SVA
+ * evaluation ends; the fields below are what synthesis adds.
+ */
+struct SynthesisResult : bmc::EngineStats
 {
     uspec::Model model;
     std::vector<SvaRecord> svas;
@@ -188,13 +195,6 @@ struct SynthesisResult
     /** Mean per-query solver CNF size across all SVAs. */
     double meanCnfVars = 0.0;
     double meanCnfClauses = 0.0;
-    /** Transition-relation unrolls built: one per worker per bound. */
-    uint64_t unrollContexts = 0;
-    /**
-     * Of those, contexts warm-started by cloning the first worker's
-     * bit-blasted clause database instead of re-unrolling the design.
-     */
-    uint64_t contextsSeeded = 0;
 
     /** Design bugs found (attribution checks refuted, paper §6.1). */
     std::vector<std::string> bugs;
@@ -202,49 +202,12 @@ struct SynthesisResult
     /** SVAs whose final verdict stayed Unknown. */
     uint64_t unknownSvas = 0;
 
-    // --- trust-but-verify validation accounting (run level) ---
     /** Active validation mode ("off", "replay", "sample", "full"). */
     std::string validateMode = "off";
-    uint64_t replays = 0;
-    uint64_t proofRechecks = 0;
-    uint64_t recheckInconclusive = 0;
-    uint64_t validationMismatches = 0;
-    /** Verdicts degraded to Unknown by the validation layer. */
-    uint64_t validationFailures = 0;
-
-    // --- verdict cache accounting (run level) ---
-    /** True when a --cache directory was in use this run. */
+    /** True when a verdict cache was in use this run. */
     bool cacheEnabled = false;
-    /** SVAs answered from the verdict cache without solving. */
-    uint64_t cacheHits = 0;
-    /** Hashed SVA queries the cache could not answer. */
-    uint64_t cacheMisses = 0;
-    /** Misses caused by a content change to a previously cached query
-     *  (same SVA name + bound, different cone/property hash). */
-    uint64_t cacheInvalidations = 0;
-    /** Verdicts durably appended to the cache this run. */
-    uint64_t cacheAppends = 0;
-
-    // --- proof-engine race accounting (run level) ---
     /** Resolved --engine mode ("bmc", "kind", "pdr", "race"). */
     std::string engineMode = "race";
-    /** Queries where PDR + k-induction raced the BMC solve. */
-    uint64_t engineRaces = 0;
-    /** Definite verdicts per winning engine (solved this run). */
-    uint64_t bmcWins = 0;
-    uint64_t kindWins = 0;
-    uint64_t pdrWins = 0;
-    /** Proofs valid at every bound (PDR fixpoint / closed induction). */
-    uint64_t unboundedProofs = 0;
-    /** PDR work totals across winning and completed PDR runs. */
-    uint64_t pdrFrames = 0;
-    uint64_t pdrObligations = 0;
-    /** Inprocessing passes inside incremental solver contexts. */
-    uint64_t inprocessRuns = 0;
-    uint64_t inprocessClausesRemoved = 0;
-    double replaySeconds = 0.0;
-    double recheckSeconds = 0.0;
-    double validateSeconds = 0.0;
     /**
      * Human-readable record of every conservative degradation an
      * Unknown verdict forced (one entry per degraded SVA; also
@@ -272,7 +235,7 @@ struct SynthesisResult
      * retries, CNF size, solve time; plus run-level unknown/degraded
      * accounting. Schema documented in EXPERIMENTS.md.
      */
-    std::string jsonReport() const;
+    json::Value jsonReport() const;
 };
 
 /** Run the full synthesis procedure. */

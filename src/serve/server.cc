@@ -765,7 +765,7 @@ Server::handleCampaign(const json::Value &req)
 
     std::string report_path = req.getStr("report");
     if (!report_path.empty())
-        writeFile(report_path, res.jsonReport());
+        writeFile(report_path, res.jsonReport().dump() + "\n");
 
     json::Value resp = okResp("campaign");
     resp.set("attempts", json::Value::number(int64_t{attempts}));

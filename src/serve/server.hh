@@ -57,7 +57,7 @@
 #include "bmc/verdict_cache.hh"
 #include "common/thread_pool.hh"
 #include "serve/chaos.hh"
-#include "serve/json.hh"
+#include "common/json.hh"
 
 namespace r2u::bmc
 {

@@ -19,6 +19,7 @@
 #include <thread>
 
 #include "bmc/engine.hh"
+#include "common/json.hh"
 #include "random_netlist.hh"
 #include "rtl2uspec/synthesis.hh"
 #include "sim/simulator.hh"
@@ -170,8 +171,8 @@ TEST_P(EngineRandomTest, IncrementalMatchesFresh)
     EXPECT_EQ(sequential.stats().validationFailures, 0u);
     // The parallel engine shares unroll contexts: at most one per
     // worker here (single bound), never one per query.
-    EXPECT_GE(parallel.stats().contexts, 1u);
-    EXPECT_LE(parallel.stats().contexts, 3u);
+    EXPECT_GE(parallel.stats().unrollContexts, 1u);
+    EXPECT_LE(parallel.stats().unrollContexts, 3u);
     EXPECT_EQ(parallel.stats().queries, want.size());
 
     // A second batch on the warm engine must behave identically.
@@ -180,7 +181,7 @@ TEST_P(EngineRandomTest, IncrementalMatchesFresh)
     ASSERT_EQ(warm_results.size(), want3.size());
     for (size_t i = 0; i < want3.size(); i++)
         EXPECT_EQ(warm_results[i].verdict, want3[i]) << "query " << i;
-    EXPECT_LE(parallel.stats().contexts, 3u);
+    EXPECT_LE(parallel.stats().unrollContexts, 3u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineRandomTest,
@@ -208,7 +209,7 @@ TEST(BmcEngine, SingleJobServesBatchFromOneContext)
     for (size_t i = 0; i < want.size(); i++)
         EXPECT_EQ(results[i].verdict, want[i]) << "query " << i;
     EXPECT_EQ(engine.jobs(), 1u);
-    EXPECT_EQ(engine.stats().contexts, 1u);
+    EXPECT_EQ(engine.stats().unrollContexts, 1u);
     EXPECT_EQ(engine.stats().queries, want.size());
 }
 
@@ -366,7 +367,7 @@ TEST(BmcEngine, VscaleJobsOneFullValidationMatchesParallel)
         EXPECT_GT(e->stats().replays, 0u);
         EXPECT_GT(e->stats().proofRechecks, 0u);
     }
-    EXPECT_EQ(reference.stats().contexts, 1u);
+    EXPECT_EQ(reference.stats().unrollContexts, 1u);
 }
 
 namespace
@@ -762,9 +763,30 @@ TEST(BmcEngine, TightBudgetSynthesisDegradesConservatively)
     });
 
     // The structured run report accounts for the degradation.
-    std::string json = res.jsonReport();
-    EXPECT_NE(json.find("\"unknown_svas\""), std::string::npos);
-    EXPECT_NE(json.find("\"degraded\""), std::string::npos);
-    EXPECT_NE(json.find("\"degrade_note\""), std::string::npos);
-    EXPECT_NE(json.find("\"conflict-budget\""), std::string::npos);
+    json::Value report;
+    std::string err;
+    ASSERT_TRUE(json::Value::parse(res.jsonReport().dump(), report, &err))
+        << err;
+    ASSERT_NE(report.find("unknown_svas"), nullptr);
+    EXPECT_EQ(report.getInt("unknown_svas"),
+              static_cast<int64_t>(res.unknownSvas));
+    const json::Value *degraded = report.find("degraded");
+    ASSERT_NE(degraded, nullptr);
+    ASSERT_TRUE(degraded->isArr());
+    EXPECT_EQ(degraded->arr.size(), res.degraded.size());
+    const json::Value *svas = report.find("svas");
+    ASSERT_NE(svas, nullptr);
+    ASSERT_EQ(svas->arr.size(), res.svas.size());
+    size_t notes = 0, budget_sources = 0;
+    for (const json::Value &sva : svas->arr) {
+        if (sva.getBool("degraded")) {
+            ASSERT_NE(sva.find("degrade_note"), nullptr)
+                << sva.getStr("name");
+            EXPECT_FALSE(sva.getStr("degrade_note").empty());
+            notes++;
+        }
+        budget_sources += sva.getStr("source") == "conflict-budget";
+    }
+    EXPECT_GT(notes, 0u);
+    EXPECT_GT(budget_sources, 0u);
 }

@@ -17,6 +17,7 @@
 
 #include "check/campaign.hh"
 #include "check/check.hh"
+#include "common/json.hh"
 #include "litmus/litmus.hh"
 #include "mcm/sc_ref.hh"
 #include "uhb/uhb.hh"
@@ -225,18 +226,44 @@ TEST(Campaign, JsonReportParsesAndCounts)
     check::CampaignOptions opts;
     opts.jobs = 2;
     auto res = check::runCampaign(scModel(), suite, opts);
-    std::string json = res.jsonReport();
-    EXPECT_NE(json.find("\"jobs\": 2"), std::string::npos);
-    EXPECT_NE(json.find("\"tests\": 4"), std::string::npos);
-    EXPECT_NE(json.find("\"failures\": 0"), std::string::npos);
-    EXPECT_NE(json.find("\"name\": \"mp\""), std::string::npos);
-    // Crude structural check: balanced braces/brackets.
-    int depth = 0;
-    for (char c : json) {
-        depth += (c == '{' || c == '[') - (c == '}' || c == ']');
-        ASSERT_GE(depth, 0);
-    }
-    EXPECT_EQ(depth, 0);
+    // Structural check: the dumped report is one strict JSON document.
+    json::Value report;
+    std::string err;
+    ASSERT_TRUE(json::Value::parse(res.jsonReport().dump(), report, &err))
+        << err;
+    ASSERT_NE(report.find("jobs"), nullptr);
+    EXPECT_EQ(report.getInt("jobs", -1), 2);
+    ASSERT_NE(report.find("tests"), nullptr);
+    EXPECT_EQ(report.getInt("tests", -1), 4);
+    ASSERT_NE(report.find("failures"), nullptr);
+    EXPECT_EQ(report.getInt("failures", -1), 0);
+    const json::Value *results = report.find("results");
+    ASSERT_NE(results, nullptr);
+    ASSERT_TRUE(results->isArr());
+    ASSERT_EQ(results->arr.size(), 4u);
+    bool has_mp = false;
+    for (const json::Value &r : results->arr)
+        has_mp |= r.getStr("name") == "mp";
+    EXPECT_TRUE(has_mp);
+}
+
+// Regression: the report's string escaper used to pass control bytes
+// through raw, so a test name holding one produced a report that no
+// strict JSON parser accepts. Every string now round-trips.
+TEST(Campaign, JsonReportEscapesControlBytesInNames)
+{
+    LTest t = litmus::standardSuite()[0];
+    ASSERT_EQ(t.name, "mp");
+    t.name = "mp\x01x";
+    auto res = check::runCampaign(scModel(), {t}, {});
+    json::Value report;
+    std::string err;
+    ASSERT_TRUE(json::Value::parse(res.jsonReport().dump(), report, &err))
+        << err;
+    const json::Value *results = report.find("results");
+    ASSERT_NE(results, nullptr);
+    ASSERT_EQ(results->arr.size(), 1u);
+    EXPECT_EQ(results->arr[0].getStr("name"), "mp\x01x");
 }
 
 // Regression (uspec_check verdict): a litmus test whose interesting

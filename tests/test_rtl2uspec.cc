@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "check/check.hh"
+#include "common/json.hh"
 #include "dfg/dfg.hh"
 #include "rtl2uspec/synthesis.hh"
 #include "vscale/metadata.hh"
@@ -213,6 +214,104 @@ TEST(Rtl2uspec, BuggyDesignTriggersBugDiscovery)
     EXPECT_NE(r.bugs[0].find("§6.1"), std::string::npos);
     // The counterexample trace shows the offending encoding.
     EXPECT_NE(r.bugs[0].find("inst_DX"), std::string::npos);
+}
+
+namespace
+{
+
+/** Member names of a parsed JSON object, in document order. */
+std::vector<std::string>
+keysOf(const json::Value &v)
+{
+    std::vector<std::string> keys;
+    for (const auto &[k, member] : v.obj)
+        keys.push_back(k);
+    return keys;
+}
+
+/** A hand-filled result with one degraded SVA whose note and name
+ *  carry characters JSON must escape. */
+SynthesisResult
+degradedResult()
+{
+    SynthesisResult r;
+    SvaRecord rec;
+    rec.name = "sva\t\"quoted\"";
+    rec.category = "intra";
+    rec.verdict = bmc::Verdict::Unknown;
+    rec.degraded = true;
+    rec.degradeNote = "budget\x01hit\tat \"frame 3\"";
+    r.svas.push_back(rec);
+    r.unknownSvas = 1;
+    r.degraded.push_back(rec.degradeNote);
+    return r;
+}
+
+json::Value
+parsedReport(const SynthesisResult &r)
+{
+    json::Value report;
+    std::string err;
+    EXPECT_TRUE(json::Value::parse(r.jsonReport().dump(), report, &err))
+        << err;
+    return report;
+}
+
+} // namespace
+
+TEST(RunReport, EscapesControlBytesAndQuotes)
+{
+    SynthesisResult r = degradedResult();
+    json::Value report = parsedReport(r);
+    const json::Value *svas = report.find("svas");
+    ASSERT_NE(svas, nullptr);
+    ASSERT_EQ(svas->arr.size(), 1u);
+    EXPECT_EQ(svas->arr[0].getStr("name"), r.svas[0].name);
+    EXPECT_EQ(svas->arr[0].getStr("degrade_note"), r.svas[0].degradeNote);
+    const json::Value *notes = report.find("degraded");
+    ASSERT_NE(notes, nullptr);
+    ASSERT_EQ(notes->arr.size(), 1u);
+    EXPECT_EQ(notes->arr[0].asStr(), r.svas[0].degradeNote);
+}
+
+// Golden schema: the run report's top-level key order and every
+// block's keys. Scripts index these names, so changing one has to be
+// a deliberate edit here (and in EXPERIMENTS.md), not a side effect.
+TEST(RunReport, SchemaIsPinned)
+{
+    json::Value report = parsedReport(degradedResult());
+    using Keys = std::vector<std::string>;
+    EXPECT_EQ(keysOf(report),
+              (Keys{"jobs", "full_unroll", "sva_count", "unroll_contexts",
+                    "contexts_seeded", "unknown_svas", "bug_count",
+                    "timings", "validation", "cache", "engine",
+                    "simplify", "degraded", "svas"}));
+    const std::pair<const char *, Keys> blocks[] = {
+        {"timings", {"static_s", "proof_s", "post_s", "total_s"}},
+        {"validation",
+         {"mode", "replays", "proof_rechecks", "recheck_inconclusive",
+          "mismatches", "validation_failures", "replay_s", "recheck_s",
+          "validate_s"}},
+        {"cache", {"enabled", "hits", "misses", "invalidations", "appends"}},
+        {"engine",
+         {"mode", "races", "bmc_wins", "kind_wins", "pdr_wins",
+          "unbounded_proofs", "pdr_frames", "pdr_obligations"}},
+        {"simplify", {"inprocess_runs", "inprocess_clauses_removed"}},
+    };
+    for (const auto &[name, keys] : blocks) {
+        const json::Value *block = report.find(name);
+        ASSERT_NE(block, nullptr) << name;
+        EXPECT_EQ(keysOf(*block), keys) << name;
+    }
+    const json::Value *svas = report.find("svas");
+    ASSERT_NE(svas, nullptr);
+    ASSERT_EQ(svas->arr.size(), 1u);
+    EXPECT_EQ(keysOf(svas->arr[0]),
+              (Keys{"name", "category", "verdict", "source", "retries",
+                    "seconds", "conflicts", "propagations", "cnf_vars",
+                    "cnf_clauses", "validated", "from_cache", "engine",
+                    "engine_raced", "unbounded", "degraded",
+                    "degrade_note"}));
 }
 
 #ifdef R2U_SOURCE_DIR

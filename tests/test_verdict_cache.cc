@@ -469,7 +469,7 @@ TEST(VerdictCache, EngineReplayAndPartialInvalidation)
         EXPECT_EQ(engine.stats().cacheMisses, 0u);
         EXPECT_EQ(engine.stats().cacheAppends, 0u);
         // Nothing solved: no unroll context was ever built.
-        EXPECT_EQ(engine.stats().contexts, 0u);
+        EXPECT_EQ(engine.stats().unrollContexts, 0u);
     }
 
     // Edit one cone (same element counts). Only its two queries miss
@@ -504,7 +504,7 @@ TEST(VerdictCache, EngineReplayAndPartialInvalidation)
         EXPECT_EQ(engine.stats().cacheAppends, 2u);
         // The one worker re-solves the edited cone's two queries in a
         // single incremental context.
-        EXPECT_EQ(engine.stats().contexts, 1u);
+        EXPECT_EQ(engine.stats().unrollContexts, 1u);
     }
 }
 
@@ -549,7 +549,7 @@ TEST(VerdictCache, EditedQueryWithSameNameIsSolvedNotReplayed)
     EXPECT_EQ(engine.stats().cacheHits, 0u);
     EXPECT_EQ(engine.stats().cacheMisses, 1u);
     EXPECT_EQ(engine.stats().cacheInvalidations, 1u);
-    EXPECT_EQ(engine.stats().contexts, 1u);
+    EXPECT_EQ(engine.stats().unrollContexts, 1u);
 }
 
 // Bound semantics: an unbounded Proven record answers the same cone +

@@ -303,7 +303,7 @@ main(int argc, char **argv)
         if (table)
             std::printf("%s\n", synth.report().c_str());
         if (!report_path.empty()) {
-            writeFile(report_path, synth.jsonReport());
+            writeFile(report_path, synth.jsonReport().dump() + "\n");
             inform("run report written to %s", report_path.c_str());
         }
         if (list_svas) {

@@ -170,7 +170,7 @@ main(int argc, char **argv)
             }
         }
         if (!report_path.empty())
-            writeFile(report_path, campaign.jsonReport());
+            writeFile(report_path, campaign.jsonReport().dump() + "\n");
         std::printf("--- %s ---\n", campaign.summary().c_str());
         if (campaign.interrupted) {
             std::fprintf(stderr,
