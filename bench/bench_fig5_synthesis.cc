@@ -18,6 +18,48 @@
 
 using namespace r2u;
 
+namespace
+{
+
+/**
+ * Whether two runs' models can be compared at all: a budgeted run may
+ * leave SVAs undetermined, and two such runs (or one against an
+ * unbudgeted run) can differ soundly, so a different model is a bug
+ * only when both runs determined every SVA.
+ */
+bool
+comparable(const rtl2uspec::SynthesisResult &a,
+           const rtl2uspec::SynthesisResult &b)
+{
+    return a.unknownSvas == 0 && b.unknownSvas == 0;
+}
+
+/** The model-comparison cell of a printed row. */
+std::string
+modelMatch(const rtl2uspec::SynthesisResult &a,
+           const rtl2uspec::SynthesisResult &b)
+{
+    if (!comparable(a, b))
+        return strfmt("not comparable (budgeted: %zu vs %zu "
+                      "undetermined)",
+                      static_cast<size_t>(a.unknownSvas),
+                      static_cast<size_t>(b.unknownSvas));
+    return a.model.print() == b.model.print() ? "identical"
+                                              : "DIFFERENT (BUG)";
+}
+
+/** The same comparison for the JSON summary; null if not comparable. */
+json::Value
+modelMatchJson(const rtl2uspec::SynthesisResult &a,
+               const rtl2uspec::SynthesisResult &b)
+{
+    if (!comparable(a, b))
+        return json::Value::null();
+    return json::Value::boolean_(a.model.print() == b.model.print());
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
@@ -183,8 +225,12 @@ main(int argc, char **argv)
                     result.proofSeconds);
 
     // Eager-vs-sliced comparison: rerun SVA evaluation in the
-    // opposite unroll mode at the same job count.
-    auto other = bench::synthesizeVscale(false, jobs, !full_unroll);
+    // opposite unroll mode with the same jobs and budgets, re-solving
+    // rather than replaying the main run's cache.
+    rtl2uspec::SynthesisOptions other_opts = synth_opts;
+    other_opts.fullUnroll = !full_unroll;
+    other_opts.cacheDir.clear();
+    auto other = bench::synthesizeVscaleWith(other_opts);
     const auto &eager = full_unroll ? result : other;
     const auto &sliced = full_unroll ? other : result;
     std::printf("\nCOI slicing vs full unroll (same %u-worker run):\n",
@@ -199,9 +245,7 @@ main(int argc, char **argv)
                 "%s\n",
                 eager.proofSeconds / sliced.proofSeconds,
                 eager.meanCnfVars / sliced.meanCnfVars,
-                eager.model.print() == sliced.model.print()
-                    ? "identical"
-                    : "DIFFERENT (BUG)");
+                modelMatch(eager, sliced).c_str());
     std::printf("  per category (CNF vars/query mean, full unroll -> "
                 "sliced):\n");
     for (const auto &[cat, ecs] : eager.stats) {
@@ -244,8 +288,6 @@ main(int argc, char **argv)
     auto race_run = main_is_race
                         ? result
                         : bench::synthesizeVscaleWith(race_opts);
-    bool engine_same =
-        bmc_run.model.print() == race_run.model.print();
     std::printf("\nProof engine (same %u-worker run):\n", result.jobs);
     std::printf("  bmc:  proof %.2f s\n", bmc_run.proofSeconds);
     std::printf("  race: proof %.2f s (%zu race(s); wins bmc=%zu "
@@ -259,7 +301,7 @@ main(int argc, char **argv)
                 static_cast<size_t>(race_run.unboundedProofs),
                 static_cast<size_t>(race_run.pdrFrames),
                 static_cast<size_t>(race_run.pdrObligations),
-                engine_same ? "identical" : "DIFFERENT (BUG)");
+                modelMatch(bmc_run, race_run).c_str());
 
     // Worker scaling at race defaults: the paper-scale question is
     // how the full SVA sweep behaves when the host actually has the
@@ -279,12 +321,11 @@ main(int argc, char **argv)
         rtl2uspec::SynthesisOptions sopts = race_opts;
         sopts.jobs = sj;
         auto sres = bench::synthesizeVscaleWith(sopts);
-        bool same = sres.model.print() == race_run.model.print();
         std::printf("  %2u workers: proof %.2f s, total %.2f s, "
                     "%zu unbounded proof(s), model %s\n",
                     sj, sres.proofSeconds, sres.totalSeconds,
                     static_cast<size_t>(sres.unboundedProofs),
-                    same ? "identical" : "DIFFERENT (BUG)");
+                    modelMatch(sres, race_run).c_str());
         scale_rows.push_back(ScaleRow{sj, std::move(sres)});
     }
 
@@ -306,7 +347,6 @@ main(int argc, char **argv)
     {
         using json::Value;
         auto num = [](double n) { return Value::number(n); };
-        auto flag = Value::boolean_;
 
         Value coi_cells = Value::object();
         for (const auto &sva : result.svas)
@@ -323,8 +363,7 @@ main(int argc, char **argv)
                  num(eager.proofSeconds / sliced.proofSeconds))
             .set("cnf_var_reduction",
                  num(eager.meanCnfVars / sliced.meanCnfVars))
-            .set("models_identical",
-                 flag(eager.model.print() == sliced.model.print()));
+            .set("models_identical", modelMatchJson(eager, sliced));
 
         Value sat_config = Value::object();
         sat_config.set("default_proof_seconds", num(result.proofSeconds))
@@ -336,7 +375,8 @@ main(int argc, char **argv)
         engines.set("bmc_proof_seconds", num(bmc_run.proofSeconds))
             .set("race_proof_seconds", num(race_run.proofSeconds))
             .set("race", *race_run.jsonReport().find("engine"))
-            .set("race_model_identical", flag(engine_same));
+            .set("race_model_identical",
+                 modelMatchJson(bmc_run, race_run));
 
         Value scaling = Value::array();
         for (const auto &row : scale_rows) {
@@ -347,8 +387,7 @@ main(int argc, char **argv)
                 .set("races", num(row.res.engineRaces))
                 .set("unbounded_proofs", num(row.res.unboundedProofs))
                 .set("model_identical",
-                     flag(row.res.model.print() ==
-                          race_run.model.print()));
+                     modelMatchJson(row.res, race_run));
             scaling.push(std::move(r));
         }
 

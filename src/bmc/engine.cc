@@ -436,11 +436,8 @@ Engine::runProofEngine(const Query &query)
     // Single-engine mode is diagnostic (--engine pdr / --engine kind):
     // one attempt with the configured budgets, no retry ladder — an
     // Unknown here is the answer the user asked this engine for.
-    if (!attemptLimits(query, 0, limits, total_binding)) {
-        result = cancelledResult(query.bound);
-        fillCoiStats(query, result);
-        return result;
-    }
+    if (!attemptLimits(query, 0, limits, total_binding))
+        return cancelledResult(query.bound);
 
     bool refuted = false;
     if (eopts_.engine == EngineChoice::Pdr) {
@@ -515,18 +512,7 @@ Engine::runProofEngine(const Query &query)
     }
 
     refineSource(result, total_binding);
-    fillCoiStats(query, result);
     return result;
-}
-
-void
-Engine::fillCoiStats(const Query &query, CheckResult &result) const
-{
-    if (query.seeds.empty())
-        return;
-    nl::Coi coi = nl::computeCoi(nl_, query.seeds);
-    result.coiCells = coi.numCells();
-    result.coiMems = coi.numMems();
 }
 
 namespace
@@ -802,7 +788,6 @@ Engine::resolveFromCache(const std::vector<Query> &batch,
         if (r.verdict == Verdict::Refuted)
             r.validationNote = "verdict replayed from verdict cache; "
                                "the counterexample trace is not stored";
-        fillCoiStats(batch[i], r);
         results[i] = std::move(r);
         done[i] = 1;
     }
@@ -859,11 +844,8 @@ Engine::runIncremental(Worker &worker, const Query &query)
 
     SolveLimits limits;
     bool total_binding = false;
-    if (!attemptLimits(query, 0, limits, total_binding)) {
-        result = cancelledResult(query.bound);
-        fillCoiStats(query, result);
-        return result;
-    }
+    if (!attemptLimits(query, 0, limits, total_binding))
+        return cancelledResult(query.bound);
 
     PropCtx &ctx = worker.contextFor(*this, query.bound);
     // If contextFor made this worker the seed builder, waiters are
@@ -953,7 +935,6 @@ Engine::runIncremental(Worker &worker, const Query &query)
         solver.clearInterrupt();
         proof_race->merge(result);
     }
-    fillCoiStats(query, result);
     ctx.endQuery();
     return result;
 }

@@ -171,9 +171,8 @@ struct Query
     /**
      * Seed state elements the property reads (optional). Demand-driven
      * unrolling slices to the cone automatically; declaring the seeds
-     * up front additionally reports the static COI size (cells/mems)
-     * for this query through CheckResult, the analogue of JasperGold's
-     * "COI reduction" log line.
+     * up front lets the IC3/PDR challenger restrict its transition
+     * relation to their cone (empty: the whole netlist).
      */
     nl::CoiSeeds seeds;
 
@@ -338,7 +337,6 @@ class Engine
      * machinery — replay, VCD, quarantine — works unchanged.
      */
     CheckResult runProofEngine(const Query &query);
-    void fillCoiStats(const Query &query, CheckResult &result) const;
 
     /**
      * Everything between "the solver answered" and "the caller sees

@@ -40,15 +40,17 @@ void
 ThreadPool::submit(Task task)
 {
     R2U_ASSERT(task != nullptr, "null task submitted");
-    unsigned q;
     {
+        // Push under the pool lock too: an idle worker re-checks the
+        // queues under it before sleeping, so it either sees this task
+        // or is already waiting when the notify below fires. A push
+        // outside it could land between that check and the wait, and
+        // the notify would be lost.
         std::lock_guard<std::mutex> lock(mutex_);
         pending_++;
-        q = next_queue_;
+        unsigned q = next_queue_;
         next_queue_ = (next_queue_ + 1) % workers();
-    }
-    {
-        std::lock_guard<std::mutex> lock(queues_[q]->mutex);
+        std::lock_guard<std::mutex> qlock(queues_[q]->mutex);
         queues_[q]->tasks.push_back(std::move(task));
     }
     work_cv_.notify_one();

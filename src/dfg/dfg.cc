@@ -43,23 +43,17 @@ FullDesignDfg::build(const nl::Netlist &netlist)
 
     // For each node, collect the state elements in its next-state cone.
     for (const Node &n : dfg.nodes_) {
-        std::set<NodeId> srcs;
+        std::vector<CellId> roots;
         if (!n.isMem) {
-            const nl::Cell &c = netlist.cell(n.reg);
-            for (CellId in : c.inputs) {
-                auto s = dfg.coneSources(in);
-                srcs.insert(s.begin(), s.end());
-            }
+            roots = netlist.cell(n.reg).inputs;
         } else {
-            const nl::Memory &m = netlist.memory(n.mem);
-            for (CellId port : m.writePorts) {
-                for (CellId in : netlist.cell(port).inputs) {
-                    auto s = dfg.coneSources(in);
-                    srcs.insert(s.begin(), s.end());
-                }
+            for (CellId port : netlist.memory(n.mem).writePorts) {
+                const nl::Cell &w = netlist.cell(port);
+                roots.insert(roots.end(), w.inputs.begin(),
+                             w.inputs.end());
             }
         }
-        for (NodeId p : srcs) {
+        for (NodeId p : dfg.coneSources(roots)) {
             dfg.parents_[n.id].push_back(p);
             dfg.children_[p].push_back(n.id);
         }
@@ -67,24 +61,25 @@ FullDesignDfg::build(const nl::Netlist &netlist)
     return dfg;
 }
 
-std::set<NodeId>
-FullDesignDfg::coneSources(CellId wire) const
+std::vector<NodeId>
+FullDesignDfg::coneSources(const std::vector<CellId> &roots) const
 {
-    std::set<NodeId> out;
-    std::vector<CellId> stack{wire};
-    std::set<CellId> seen;
+    std::vector<NodeId> out;
+    std::vector<CellId> stack(roots);
+    std::vector<bool> seen(nl_->numCells(), false);
     while (!stack.empty()) {
         CellId id = stack.back();
         stack.pop_back();
-        if (!seen.insert(id).second)
+        if (seen[id])
             continue;
+        seen[id] = true;
         const nl::Cell &c = nl_->cell(id);
         switch (c.kind) {
           case CellKind::Dff:
-            out.insert(by_reg_.at(id));
+            out.push_back(by_reg_.at(id));
             break;
           case CellKind::MemRead:
-            out.insert(by_mem_.at(c.mem));
+            out.push_back(by_mem_.at(c.mem));
             stack.push_back(c.inputs[0]); // the address cone
             break;
           case CellKind::Const:
@@ -96,6 +91,9 @@ FullDesignDfg::coneSources(CellId wire) const
             break;
         }
     }
+    // Several reads of one array each report it.
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
 }
 

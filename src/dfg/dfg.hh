@@ -69,10 +69,12 @@ class FullDesignDfg
     std::vector<int> distancesFrom(NodeId from) const;
 
     /**
-     * The state elements feeding a combinational cone rooted at
-     * @p wire (stops at registers and memory reads).
+     * The state elements feeding the combinational cones rooted at
+     * @p roots (stops at registers and memory reads), sorted and
+     * without duplicates.
      */
-    std::set<NodeId> coneSources(nl::CellId wire) const;
+    std::vector<NodeId>
+    coneSources(const std::vector<nl::CellId> &roots) const;
 
     std::string toDot() const;
 

@@ -95,4 +95,16 @@ coneHash(const Netlist &nl, const CoiSeeds &seeds)
     return coneHash(nl, computeCoi(nl, seeds));
 }
 
+uint64_t
+ConeHasher::hash(const Coi &coi)
+{
+    auto key = std::make_pair(coi.cells, coi.mems);
+    auto it = memo_.find(key);
+    if (it != memo_.end())
+        return it->second;
+    uint64_t h = coneHash(nl_, coi);
+    memo_.emplace(std::move(key), h);
+    return h;
+}
+
 } // namespace r2u::nl

@@ -29,7 +29,10 @@
 #define R2U_NETLIST_HASH_HH
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/bits.hh"
 #include "netlist/coi.hh"
@@ -102,6 +105,29 @@ uint64_t coneHash(const Netlist &nl, const Coi &coi);
 
 /** Convenience: computeCoi(nl, seeds) then hash the cone. */
 uint64_t coneHash(const Netlist &nl, const CoiSeeds &seeds);
+
+/**
+ * coneHash() with a memo keyed by the cone's cell and memory bitmaps,
+ * so each distinct cone is hashed once. Synthesis keys every SVA query
+ * by its cone, and queries over one design share few cones (the 37 on
+ * the multi-V-scale have 3). Every value equals coneHash(nl, coi).
+ * Not thread-safe.
+ */
+class ConeHasher
+{
+  public:
+    explicit ConeHasher(const Netlist &nl) : nl_(nl) {}
+
+    uint64_t hash(const Coi &coi);
+
+    /** Number of distinct cones hashed so far. */
+    size_t size() const { return memo_.size(); }
+
+  private:
+    const Netlist &nl_;
+    std::map<std::pair<std::vector<bool>, std::vector<bool>>, uint64_t>
+        memo_;
+};
 
 } // namespace r2u::nl
 

@@ -38,12 +38,13 @@ class Synthesizer
     Synthesizer(const vlog::ElabResult &design, const DesignMetadata &md,
                 const SynthesisOptions &opts)
         : design_(design), md_(md), nl_(*design.netlist),
-          full_unroll_(opts.fullUnroll)
+          full_unroll_(opts.fullUnroll), cone_hasher_(nl_)
     {
         R2U_ASSERT(!md.cores.empty() && !md.instrs.empty(),
                    "metadata needs cores and instruction types");
         base_seeds_ = buildBaseSeeds();
-        netlist_hash_ = nl::structuralHash(nl_);
+        if (full_unroll_)
+            netlist_hash_ = nl::structuralHash(nl_);
         property_env_hash_ = propertyEnvHash();
         bmc::EngineOptions eopts;
         eopts.jobs = opts.jobs;
@@ -415,15 +416,18 @@ class Synthesizer
                              extra.cells.end());
         q.seeds.mems.insert(q.seeds.mems.end(), extra.mems.begin(),
                             extra.mems.end());
-        q.contentHash = queryContentHash(idx, q.seeds);
-        q.baseHash = queryBaseHash(idx, q.seeds);
+        nl::Coi coi = nl::computeCoi(nl_, q.seeds);
+        out_.svas[idx].coiCells = coi.numCells();
+        uint64_t cone = full_unroll_ ? netlist_hash_ : cone_hasher_.hash(coi);
+        q.contentHash = queryContentHash(idx, cone);
+        q.baseHash = queryBaseHash(idx, cone);
         engine_->enqueue(std::move(q));
         pending_.push_back(idx);
     }
 
     /**
-     * Content-derived identity of one SVA query: the hash of the COI
-     * slice its property can read (the whole netlist under
+     * Content-derived identity of one SVA query: @p cone, the hash of
+     * the COI slice its property can read (the whole netlist under
      * --full-unroll, where every query sees every cell), the property
      * environment, the bound/unroll mode, and the SVA's identity and
      * rendered text. This is the verdict-cache key — two runs
@@ -431,11 +435,10 @@ class Synthesizer
      * same question.
      */
     uint64_t
-    queryContentHash(size_t idx, const nl::CoiSeeds &seeds) const
+    queryContentHash(size_t idx, uint64_t cone) const
     {
         nl::Fnv64 h;
-        h.u64(full_unroll_ ? netlist_hash_
-                           : nl::coneHash(nl_, seeds));
+        h.u64(cone);
         h.u64(property_env_hash_);
         h.u32(md_.bound);
         h.byte(full_unroll_ ? 1 : 0);
@@ -455,11 +458,10 @@ class Synthesizer
      * reuse the proof (VerdictCache::lookupUnbounded).
      */
     uint64_t
-    queryBaseHash(size_t idx, const nl::CoiSeeds &seeds) const
+    queryBaseHash(size_t idx, uint64_t cone) const
     {
         nl::Fnv64 h;
-        h.u64(full_unroll_ ? netlist_hash_
-                           : nl::coneHash(nl_, seeds));
+        h.u64(cone);
         h.u64(property_env_hash_);
         h.byte(full_unroll_ ? 1 : 0);
         const SvaRecord &sva = out_.svas[idx];
@@ -488,7 +490,6 @@ class Synthesizer
             rec.cnfClauses = results[q].cnfClauses;
             rec.cnfVarsAdded = results[q].cnfVarsAdded;
             rec.cnfClausesAdded = results[q].cnfClausesAdded;
-            rec.coiCells = results[q].coiCells;
             rec.validated = results[q].validated;
             rec.fromCache = results[q].fromCache;
             rec.engine = bmc::engineKindName(results[q].engine);
@@ -1781,8 +1782,11 @@ class Synthesizer
     int hbis_ = 0;
     SynthesisResult out_;
     std::string validate_mode_;
-    /** nl::structuralHash of the whole design (full-unroll key). */
+    /** nl::structuralHash of the whole design (full-unroll key;
+     *  computed only under --full-unroll). */
     uint64_t netlist_hash_ = 0;
+    /** Per-query cone keys, one coneHash per distinct cone. */
+    nl::ConeHasher cone_hasher_;
     /** propertyEnvHash() of the metadata (per-query key ingredient). */
     uint64_t property_env_hash_ = 0;
 

@@ -14,12 +14,17 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <algorithm>
 #include <filesystem>
+#include <map>
+#include <mutex>
 #include <random>
 #include <thread>
+#include <tuple>
 
 #include "bmc/engine.hh"
 #include "common/json.hh"
+#include "netlist/hash.hh"
 #include "random_netlist.hh"
 #include "rtl2uspec/synthesis.hh"
 #include "sim/simulator.hh"
@@ -690,6 +695,48 @@ TEST(BmcEngine, VscaleCacheMetadataEditInvalidates)
     // Every miss is an invalidation: same query names at the same
     // bound sit in the cache under the old content hashes.
     EXPECT_EQ(second.cacheInvalidations, second.cacheMisses);
+}
+
+// The per-query verdict-store keys are part of the store's format: a
+// store written by an earlier build must keep hitting, so how the keys
+// are derived may change but their values may not. Pinned here: every
+// (name, contentHash, baseHash) a cold run solves, and every SVA's
+// static cone size.
+TEST(BmcEngine, VscaleQueryKeysArePinned)
+{
+    auto design = vscale::elaborateVscale(formalConfig());
+    auto md = vscale::vscaleMetadata(formalConfig());
+
+    std::mutex mu;
+    std::vector<std::tuple<std::string, uint64_t, uint64_t>> keys;
+    rtl2uspec::SynthesisOptions opts;
+    opts.jobs = 2;
+    opts.faultHook = [&](const bmc::Query &q, bmc::CheckResult &,
+                         bmc::SolveStage stage) {
+        if (stage != bmc::SolveStage::Primary)
+            return;
+        std::lock_guard<std::mutex> lock(mu);
+        keys.emplace_back(q.name, q.contentHash, q.baseHash);
+    };
+    auto res = rtl2uspec::synthesize(design, md, opts);
+    ASSERT_EQ(res.unknownSvas, 0u);
+    ASSERT_EQ(keys.size(), res.svas.size());
+
+    std::sort(keys.begin(), keys.end());
+    nl::Fnv64 h;
+    for (const auto &[name, content, base] : keys) {
+        h.str(name);
+        h.u64(content);
+        h.u64(base);
+    }
+    EXPECT_EQ(h.value(), 0x8e7d1affe408bf34ull);
+
+    // Cone sizes, as {cells: number of SVAs with that cone size}.
+    std::map<size_t, size_t> coi;
+    for (const auto &sva : res.svas)
+        coi[sva.coiCells]++;
+    const std::map<size_t, size_t> want{{1392, 33}, {1402, 2}, {1403, 2}};
+    EXPECT_EQ(coi, want);
 }
 
 TEST(BmcEngine, ValidationModesDoNotChangeTheModel)

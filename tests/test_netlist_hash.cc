@@ -7,21 +7,27 @@
  * influence — an edit outside a cone leaves its hash (and any cached
  * verdict keyed by it) intact, an edit inside changes it.
  *
- * The store regression at the bottom is the bug this hash fixes: two
- * designs an element-count fingerprint could not tell apart must miss
- * each other's stored verdicts.
+ * The store regression is the bug this hash fixes: two designs an
+ * element-count fingerprint could not tell apart must miss each
+ * other's stored verdicts. The memoizing nl::ConeHasher must return
+ * exactly coneHash's values, one memo entry per distinct cone.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <random>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bmc/verdict_cache.hh"
 #include "common/bits.hh"
 #include "netlist/coi.hh"
 #include "netlist/hash.hh"
 #include "netlist/netlist.hh"
+#include "vscale/vscale.hh"
 
 using namespace r2u;
 namespace fs = std::filesystem;
@@ -216,4 +222,52 @@ TEST(NetlistHash, SameShapeDesignMissesForeignVerdict)
     EXPECT_EQ(store.lookup(fullKey(other)), nullptr);
     EXPECT_TRUE(store.hasStaleEntry("sva_cone", 3, coneKey(other)));
     EXPECT_TRUE(store.hasStaleEntry("sva_full", 3, fullKey(other)));
+}
+
+// ConeHasher memoizes coneHash per distinct cone. Every value it
+// returns must be exactly coneHash's: synthesis keys the verdict store
+// by it, so stores written before the memo existed keep hitting.
+TEST(NetlistHash, ConeHasherMatchesConeHashOnVscale)
+{
+    vscale::Config cfg = vscale::Config::formal();
+    cfg.imemWords = 16;
+    auto design = vscale::elaborateVscale(cfg);
+    const nl::Netlist &n = *design.netlist;
+    const std::vector<nl::CellId> &dffs = n.dffs();
+    ASSERT_FALSE(dffs.empty());
+    ASSERT_GT(n.numMemories(), 0u);
+
+    nl::ConeHasher hasher(n);
+    std::set<std::pair<std::vector<bool>, std::vector<bool>>> distinct;
+    std::mt19937 rng(15);
+    for (int i = 0; i < 50; i++) {
+        nl::CoiSeeds seeds;
+        int cells = 1 + static_cast<int>(rng() % 3);
+        for (int c = 0; c < cells; c++)
+            seeds.cells.push_back(dffs[rng() % dffs.size()]);
+        if (rng() % 4 == 0)
+            seeds.mems.push_back(
+                static_cast<nl::MemId>(rng() % n.numMemories()));
+        nl::Coi coi = nl::computeCoi(n, seeds);
+        distinct.emplace(coi.cells, coi.mems);
+        EXPECT_EQ(hasher.hash(coi), nl::coneHash(n, coi)) << "set " << i;
+        // A repeat is answered from the memo, with the same value.
+        EXPECT_EQ(hasher.hash(coi), nl::coneHash(n, seeds)) << "set " << i;
+    }
+    EXPECT_EQ(hasher.size(), distinct.size());
+    EXPECT_LT(hasher.size(), 50u); // some seed sets share a cone
+
+    // Cones that differ in one memory bit only are distinct entries
+    // with distinct hashes.
+    nl::Coi a = nl::computeCoi(n, {{dffs.front()}, {}});
+    nl::Coi b = a;
+    b.mems[0] = !b.mems[0];
+    distinct.emplace(a.cells, a.mems);
+    distinct.emplace(b.cells, b.mems);
+    uint64_t ha = hasher.hash(a);
+    uint64_t hb = hasher.hash(b);
+    EXPECT_NE(ha, hb);
+    EXPECT_EQ(ha, nl::coneHash(n, a));
+    EXPECT_EQ(hb, nl::coneHash(n, b));
+    EXPECT_EQ(hasher.size(), distinct.size());
 }

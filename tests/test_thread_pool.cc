@@ -2,8 +2,9 @@
  * @file
  * Stress tests for the work-stealing thread pool: basic draining,
  * steal-heavy workloads (one worker's queue loaded with long tasks),
- * exception capture and rethrow from wait(), and pool reuse after an
- * exception — run under TSan in CI to pin down the lock discipline.
+ * exception capture and rethrow from wait(), pool reuse after an
+ * exception, and wake-ups of idle workers — run under TSan in CI to
+ * pin down the lock discipline.
  */
 
 #include <gtest/gtest.h>
@@ -132,4 +133,19 @@ TEST(ThreadPool, DestructorSwallowsPendingException)
     ThreadPool pool(2);
     pool.submit([](unsigned) { throw std::runtime_error("ignored"); });
     // No wait(): the destructor drains and swallows.
+}
+
+// A submit racing a worker that just found every queue empty must
+// still wake it. The race needs a fresh idle worker and one task, so
+// repeat that shape; a lost wakeup leaves wait() blocked forever (it
+// hung within a few thousand rounds under TSan before the fix).
+TEST(ThreadPool, SubmitToIdleWorkerIsNeverLost)
+{
+    for (int round = 0; round < 20000; round++) {
+        ThreadPool pool(1);
+        std::atomic<int> ran{0};
+        pool.submit([&ran](unsigned) { ran.fetch_add(1); });
+        pool.wait();
+        ASSERT_EQ(ran.load(), 1) << "round " << round;
+    }
 }
