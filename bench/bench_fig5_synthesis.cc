@@ -75,8 +75,7 @@ main(int argc, char **argv)
             "  [--conflict-budget N] [--query-timeout S] "
             "[--total-timeout S]\n"
             "  [--retry-escalation K] [--report FILE] "
-            "[--cache DIR]\n"
-            "  [--engine bmc|kind|pdr|race]\n");
+            "[--cache DIR]\n");
     };
     for (int i = 1; i < argc; i++) {
         std::string arg = argv[i];
@@ -112,20 +111,6 @@ main(int argc, char **argv)
                 report_path = next();
             } else if (arg == "--cache") {
                 budget_opts.cacheDir = next();
-            } else if (arg == "--engine") {
-                std::string e = next();
-                if (e == "bmc") {
-                    budget_opts.engine = bmc::EngineChoice::Bmc;
-                } else if (e == "kind") {
-                    budget_opts.engine = bmc::EngineChoice::KInduction;
-                } else if (e == "pdr") {
-                    budget_opts.engine = bmc::EngineChoice::Pdr;
-                } else if (e == "race") {
-                    budget_opts.engine = bmc::EngineChoice::Race;
-                } else {
-                    fatal("--engine expects bmc|kind|pdr|race, got "
-                          "'%s'", e.c_str());
-                }
             } else {
                 usage();
                 return 2;
@@ -267,45 +252,12 @@ main(int argc, char **argv)
                 static_cast<size_t>(result.unrollContexts),
                 static_cast<size_t>(result.inprocessRuns));
 
-    // Proof-engine comparison: plain incremental BMC vs. the default
-    // race (PDR + k-induction challengers). Verdicts and the model
-    // must be identical; the race additionally closes frame-local
-    // proofs as *unbounded* — generality no bound of plain BMC has.
-    // The comparison rows must re-solve, not replay — never hand the
-    // secondary runs the main run's populated cache.
-    rtl2uspec::SynthesisOptions bmc_opts = synth_opts;
-    bmc_opts.engine = bmc::EngineChoice::Bmc;
-    bmc_opts.cacheDir.clear();
-    rtl2uspec::SynthesisOptions race_opts = synth_opts;
-    race_opts.engine = bmc::EngineChoice::Race;
-    race_opts.cacheDir.clear();
-    const bool main_is_race =
-        synth_opts.engine == bmc::EngineChoice::Race;
-    const bool main_is_bmc =
-        synth_opts.engine == bmc::EngineChoice::Bmc;
-    auto bmc_run = main_is_bmc ? result
-                               : bench::synthesizeVscaleWith(bmc_opts);
-    auto race_run = main_is_race
-                        ? result
-                        : bench::synthesizeVscaleWith(race_opts);
-    std::printf("\nProof engine (same %u-worker run):\n", result.jobs);
-    std::printf("  bmc:  proof %.2f s\n", bmc_run.proofSeconds);
-    std::printf("  race: proof %.2f s (%zu race(s); wins bmc=%zu "
-                "kind=%zu pdr=%zu; %zu unbounded proof(s), "
-                "%zu PDR frame(s), %zu obligation(s)), model %s\n",
-                race_run.proofSeconds,
-                static_cast<size_t>(race_run.engineRaces),
-                static_cast<size_t>(race_run.bmcWins),
-                static_cast<size_t>(race_run.kindWins),
-                static_cast<size_t>(race_run.pdrWins),
-                static_cast<size_t>(race_run.unboundedProofs),
-                static_cast<size_t>(race_run.pdrFrames),
-                static_cast<size_t>(race_run.pdrObligations),
-                modelMatch(bmc_run, race_run).c_str());
-
-    // Worker scaling at race defaults: the paper-scale question is
-    // how the full SVA sweep behaves when the host actually has the
-    // threads (8- and 16-worker rows, quick mode trims to 8).
+    // Worker scaling: the paper-scale question is how the full SVA
+    // sweep behaves when the host actually has the threads (8- and
+    // 16-worker rows, quick mode trims to 8). The rows re-solve rather
+    // than replay the main run's cache.
+    rtl2uspec::SynthesisOptions scale_opts = synth_opts;
+    scale_opts.cacheDir.clear();
     std::vector<unsigned> scale_jobs{8};
     if (!bench::quickMode())
         scale_jobs.push_back(16);
@@ -315,17 +267,20 @@ main(int argc, char **argv)
         rtl2uspec::SynthesisResult res;
     };
     std::vector<ScaleRow> scale_rows;
-    std::printf("\nWorker scaling (engine %s):\n",
-                race_run.engineMode.c_str());
+    std::printf("\nWorker scaling (%zu of %zu queries ran the induction "
+                "step, %zu unbounded proof(s) at %u workers):\n",
+                static_cast<size_t>(result.engineRaces),
+                result.svas.size(),
+                static_cast<size_t>(result.unboundedProofs),
+                result.jobs);
     for (unsigned sj : scale_jobs) {
-        rtl2uspec::SynthesisOptions sopts = race_opts;
-        sopts.jobs = sj;
-        auto sres = bench::synthesizeVscaleWith(sopts);
+        scale_opts.jobs = sj;
+        auto sres = bench::synthesizeVscaleWith(scale_opts);
         std::printf("  %2u workers: proof %.2f s, total %.2f s, "
                     "%zu unbounded proof(s), model %s\n",
                     sj, sres.proofSeconds, sres.totalSeconds,
                     static_cast<size_t>(sres.unboundedProofs),
-                    modelMatch(sres, race_run).c_str());
+                    modelMatch(sres, result).c_str());
         scale_rows.push_back(ScaleRow{sj, std::move(sres)});
     }
 
@@ -371,13 +326,6 @@ main(int argc, char **argv)
             .set("inprocess_clauses_removed",
                  num(result.inprocessClausesRemoved));
 
-        Value engines = Value::object();
-        engines.set("bmc_proof_seconds", num(bmc_run.proofSeconds))
-            .set("race_proof_seconds", num(race_run.proofSeconds))
-            .set("race", *race_run.jsonReport().find("engine"))
-            .set("race_model_identical",
-                 modelMatchJson(bmc_run, race_run));
-
         Value scaling = Value::array();
         for (const auto &row : scale_rows) {
             Value r = Value::object();
@@ -387,7 +335,7 @@ main(int argc, char **argv)
                 .set("races", num(row.res.engineRaces))
                 .set("unbounded_proofs", num(row.res.unboundedProofs))
                 .set("model_identical",
-                     modelMatchJson(row.res, race_run));
+                     modelMatchJson(row.res, result));
             scaling.push(std::move(r));
         }
 
@@ -411,7 +359,6 @@ main(int argc, char **argv)
             .set("coi_cells", std::move(coi_cells))
             .set("coi_comparison", std::move(coi))
             .set("sat_config", std::move(sat_config))
-            .set("engine_comparison", std::move(engines))
             .set("scaling", std::move(scaling))
             .set("categories", std::move(categories));
         writeFile(bench::outPath("BENCH_fig5.json"), doc.dump() + "\n");

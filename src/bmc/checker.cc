@@ -1,5 +1,7 @@
 #include "bmc/checker.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "common/timer.hh"
 
@@ -45,7 +47,6 @@ engineKindName(EngineKind kind)
     switch (kind) {
       case EngineKind::Bmc: return "bmc";
       case EngineKind::KInduction: return "kind";
-      case EngineKind::Pdr: return "pdr";
     }
     return "?";
 }
@@ -369,49 +370,12 @@ checkInductive(const nl::Netlist &netlist,
                const std::unordered_map<std::string, nl::CellId> &signals,
                Unroller::Options options, unsigned k,
                unsigned base_bound, const FramePropertyFn &prop,
-               int64_t conflict_budget)
-{
-    SolveLimits limits;
-    limits.conflicts = conflict_budget;
-    return checkInductive(netlist, signals, std::move(options), k,
-                          base_bound, prop, limits);
-}
-
-InductiveResult
-checkInductive(const nl::Netlist &netlist,
-               const std::unordered_map<std::string, nl::CellId> &signals,
-               Unroller::Options options, unsigned k,
-               unsigned base_bound, const FramePropertyFn &prop,
                const SolveLimits &limits)
 {
     Timer timer;
     InductiveResult result;
     result.k = k;
     R2U_ASSERT(k >= 1 && base_bound >= k, "bad induction parameters");
-
-    // The limits are a total across both solves: the step gets
-    // whatever the base case left over.
-    auto remaining = [&](uint64_t spent_conflicts,
-                         uint64_t spent_propagations) {
-        SolveLimits rem = limits;
-        if (rem.conflicts >= 0) {
-            rem.conflicts -= static_cast<int64_t>(spent_conflicts);
-            if (rem.conflicts < 0)
-                rem.conflicts = 0;
-        }
-        if (rem.propagations >= 0) {
-            rem.propagations -=
-                static_cast<int64_t>(spent_propagations);
-            if (rem.propagations < 0)
-                rem.propagations = 0;
-        }
-        if (rem.seconds >= 0) {
-            rem.seconds -= timer.seconds();
-            if (rem.seconds < 0)
-                rem.seconds = 0;
-        }
-        return rem;
-    };
 
     // --- base case: BMC from the initial state ---
     {
@@ -437,34 +401,53 @@ checkInductive(const nl::Netlist &netlist,
             result.seconds = timer.seconds();
             return result;
         }
-        result.baseProven = true;
     }
 
-    // --- induction step: arbitrary start state ---
-    {
-        Unroller::Options step_opts = options;
-        step_opts.concreteInit = false;
-        PropCtx ctx(netlist, signals, step_opts, k + 1);
-        for (unsigned f = 0; f < k; f++)
-            ctx.assume(~prop(ctx, f));
-        ctx.solver().addClause(prop(ctx, k));
-        applyLimits(ctx.solver(),
-                    remaining(result.conflicts, result.propagations));
-        sat::Result r = ctx.solver().solve();
-        result.conflicts += ctx.solver().stats().conflicts;
-        result.propagations += ctx.solver().stats().propagations;
-        if (r == sat::Result::Unsat) {
-            result.verdict = Verdict::Proven;
-            result.inductive = true;
-        } else {
-            // Base case held up to the bound but the step failed (or
-            // budget ran out): inconclusive.
-            result.verdict = Verdict::Unknown;
-            if (r == sat::Result::Unknown)
-                result.source =
-                    sourceFromStop(ctx.solver().stopReason());
-        }
-    }
+    // --- induction step, under what the base case left of the limits ---
+    SolveLimits rest = limits;
+    auto deduct = [](int64_t &budget, uint64_t spent) {
+        if (budget >= 0)
+            budget = std::max<int64_t>(
+                0, budget - static_cast<int64_t>(spent));
+    };
+    deduct(rest.conflicts, result.conflicts);
+    deduct(rest.propagations, result.propagations);
+    if (rest.seconds >= 0)
+        rest.seconds = std::max(0.0, rest.seconds - timer.seconds());
+    StepResult step =
+        checkInductionStep(netlist, signals, options, k, prop, rest);
+    result.conflicts += step.conflicts;
+    result.propagations += step.propagations;
+    // Base case held up to the bound; an open step (or a spent budget)
+    // leaves the unbounded question inconclusive.
+    result.verdict = step.closed ? Verdict::Proven : Verdict::Unknown;
+    result.inductive = step.closed;
+    result.source = step.source;
+    result.seconds = timer.seconds();
+    return result;
+}
+
+StepResult
+checkInductionStep(
+    const nl::Netlist &netlist,
+    const std::unordered_map<std::string, nl::CellId> &signals,
+    Unroller::Options options, unsigned k, const FramePropertyFn &prop,
+    const SolveLimits &limits)
+{
+    Timer timer;
+    StepResult result;
+    options.concreteInit = false;
+    PropCtx ctx(netlist, signals, std::move(options), k + 1);
+    for (unsigned f = 0; f < k; f++)
+        ctx.assume(~prop(ctx, f));
+    ctx.solver().addClause(prop(ctx, k));
+    applyLimits(ctx.solver(), limits);
+    sat::Result r = ctx.solver().solve();
+    result.conflicts = ctx.solver().stats().conflicts;
+    result.propagations = ctx.solver().stats().propagations;
+    result.closed = r == sat::Result::Unsat;
+    if (r == sat::Result::Unknown)
+        result.source = sourceFromStop(ctx.solver().stopReason());
     result.seconds = timer.seconds();
     return result;
 }

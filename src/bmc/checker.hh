@@ -60,9 +60,9 @@ enum class VerdictSource : uint8_t {
      */
     ValidationFailed = 8,
     /**
-     * Definite verdict produced by a proof-engine racer (IC3/PDR or
-     * k-induction) that beat the incumbent BMC solve (see
-     * EngineChoice::Race).
+     * Decode-only: a definite verdict that an IC3/PDR or k-induction
+     * challenger won in a proof-engine race. Nothing produces it any
+     * more; stores written by builds that raced engines keep loading.
      */
     Race = 10,
 };
@@ -70,11 +70,11 @@ enum class VerdictSource : uint8_t {
 const char *verdictSourceName(VerdictSource source);
 
 /**
- * Which checking algorithm produced a verdict. BMC is the incumbent;
- * k-induction and PDR can return *unbounded* Proven verdicts (valid at
- * every bound, not just the query's).
+ * Which checking algorithm produced a verdict: BMC alone, or BMC plus
+ * a closed k-induction step, which makes a Proven verdict *unbounded*
+ * (valid at every bound, not just the query's).
  */
-enum class EngineKind : uint8_t { Bmc, KInduction, Pdr };
+enum class EngineKind : uint8_t { Bmc, KInduction };
 
 const char *engineKindName(EngineKind kind);
 
@@ -261,18 +261,14 @@ struct CheckResult
     size_t cnfClausesAdded = 0;
     Trace trace; ///< populated when Refuted
 
-    // --- proof-engine attribution (bmc::Engine race) ---
-    /** This query raced PDR/k-induction against the BMC solve. */
-    bool engineRaced = false;
+    // --- proof generality (bmc::Engine's induction step) ---
+    /** The induction step ran after this query's bounded proof. */
+    bool inductionStep = false;
     /** Algorithm that produced this verdict. */
     EngineKind engine = EngineKind::Bmc;
-    /** Proven for every bound (PDR convergence or a closed induction
-     *  step), not just CheckResult::bound. */
+    /** Proven for every bound (a closed induction step), not just
+     *  CheckResult::bound. */
     bool unbounded = false;
-    /** PDR: highest frame level fully cleared of bad states. */
-    unsigned pdrFrames = 0;
-    /** PDR: proof obligations processed. */
-    uint64_t pdrObligations = 0;
 
     // --- trust-but-verify validation accounting (bmc::Engine) ---
     /** Verdict independently confirmed (replay or proof re-check). */
@@ -372,14 +368,6 @@ struct InductiveResult
     /** True iff the induction step succeeded (vs. only the bounded
      *  base case). */
     bool inductive = false;
-    /**
-     * True iff the base-case BMC solve at base_bound came back Unsat —
-     * i.e. the property holds at that bound even when the induction
-     * step failed. The engine's race maps this onto a bounded Proven
-     * verdict; InductiveResult::verdict itself stays Unknown when the
-     * property is not k-inductive, for backward compatibility.
-     */
-    bool baseProven = false;
     /** Budget class when a solve came back Unknown. */
     VerdictSource source = VerdictSource::Solve;
     uint64_t conflicts = 0;
@@ -392,28 +380,43 @@ struct InductiveResult
 /**
  * k-induction: prove a per-frame safety property for every reachable
  * cycle. Base case runs BMC from the concrete initial state over
- * @p base_bound frames; the induction step assumes the property in k
- * consecutive frames from an arbitrary state and asserts it in the
- * next. Refuted results carry a real trace; Unknown means the
- * property is not k-inductive at this k (it may still hold).
+ * @p base_bound frames; the induction step (checkInductionStep) runs
+ * when the base case holds. Refuted results carry a real trace;
+ * Unknown means the property is not k-inductive at this k (it may
+ * still hold) or a limit stopped a solve. The limits are totals
+ * across both solves.
  */
 InductiveResult checkInductive(
     const nl::Netlist &netlist,
     const std::unordered_map<std::string, nl::CellId> &signals,
     Unroller::Options options, unsigned k, unsigned base_bound,
-    const FramePropertyFn &prop, int64_t conflict_budget = -1);
+    const FramePropertyFn &prop, const SolveLimits &limits = {});
+
+/** Outcome of one induction-step solve. */
+struct StepResult
+{
+    /** Unsat: the property is k-inductive. False when the solver found
+     *  a counterexample to induction or a limit stopped it. */
+    bool closed = false;
+    /** Which limit stopped the solve (Solve when none did). */
+    VerdictSource source = VerdictSource::Solve;
+    uint64_t conflicts = 0;
+    uint64_t propagations = 0;
+    double seconds = 0.0;
+};
 
 /**
- * k-induction under full solve limits (budgets, deadline, shared
- * cancellation flag), the overload the engine's proof race uses. The
- * budgets are totals across both the base case and the induction
- * step.
+ * The induction step of k-induction: from an arbitrary state, assume
+ * the property holds in k consecutive frames and ask whether it can
+ * fail in the next. Together with a bounded proof over the first k
+ * frames from the initial state (the base case), a closed step proves
+ * the property at every bound.
  */
-InductiveResult checkInductive(
+StepResult checkInductionStep(
     const nl::Netlist &netlist,
     const std::unordered_map<std::string, nl::CellId> &signals,
-    Unroller::Options options, unsigned k, unsigned base_bound,
-    const FramePropertyFn &prop, const SolveLimits &limits);
+    Unroller::Options options, unsigned k, const FramePropertyFn &prop,
+    const SolveLimits &limits);
 
 } // namespace r2u::bmc
 

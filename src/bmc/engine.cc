@@ -8,7 +8,6 @@
 #include <set>
 #include <thread>
 
-#include "bmc/pdr.hh"
 #include "bmc/validate.hh"
 #include "common/logging.hh"
 #include "common/timer.hh"
@@ -32,22 +31,6 @@ validateModeName(ValidateMode mode)
         return "full";
     }
     panic("bad ValidateMode");
-}
-
-const char *
-engineChoiceName(EngineChoice choice)
-{
-    switch (choice) {
-      case EngineChoice::Bmc:
-        return "bmc";
-      case EngineChoice::KInduction:
-        return "kind";
-      case EngineChoice::Pdr:
-        return "pdr";
-      case EngineChoice::Race:
-        return "race";
-    }
-    panic("bad EngineChoice");
 }
 
 unsigned
@@ -259,266 +242,6 @@ refineSource(CheckResult &result, bool total_binding)
 }
 
 /**
- * Proof-engine race: IC3/PDR and k-induction challengers running
- * alongside the incumbent BMC solve of one frame-local query.
- *
- * Challengers claim the race ONLY with Proven-class verdicts (a PDR
- * fixpoint or cleared bound, an induction step that closed, or a
- * k-induction base case that closed at the bound). Refutations are
- * never claimed: BMC finds Sat answers fast and owns trace fidelity,
- * so a challenger refutation just lets the incumbent finish. Verdict
- * semantics of both challengers are aligned with BMC at the query's
- * bound, so whoever wins, the verdict — and therefore the synthesized
- * model — is identical; the race only changes wall-clock and proof
- * *generality* (unbounded vs bounded Proven).
- *
- * The winner interrupts the incumbent solver. finish() must be called
- * before the incumbent's solver is reused, and the caller must
- * clearInterrupt() afterwards — a challenger's interrupt poke is
- * sticky.
- */
-class ProofRace
-{
-  public:
-    static constexpr int kPdr = 1;
-    static constexpr int kKind = 2;
-
-    ProofRace(const nl::Netlist &nl,
-              const std::unordered_map<std::string, nl::CellId> &signals,
-              const Unroller::Options &options, const Query &query,
-              const SolveLimits &limits,
-              const std::atomic<bool> *engine_cancel,
-              sat::Solver &incumbent)
-        : nl_(nl), signals_(signals), options_(options), query_(query),
-          limits_(limits), engine_cancel_(engine_cancel),
-          incumbent_(incumbent)
-    {
-    }
-
-    ~ProofRace() { finish(); }
-
-    void
-    start()
-    {
-        pdr_thread_ = std::thread([this] {
-            PdrOptions popts;
-            popts.bound = query_.bound;
-            popts.limits = limits_;
-            popts.limits.cancel = &stop_;
-            popts.cancel2 = engine_cancel_;
-            pdr_ = checkPdr(nl_, signals_, options_, query_.seeds,
-                            query_.frameProp, popts);
-            if (pdr_.verdict == Verdict::Proven)
-                claim(kPdr);
-        });
-        kind_thread_ = std::thread([this] {
-            SolveLimits kl = limits_;
-            kl.cancel = &stop_;
-            kind_ = checkInductive(nl_, signals_, options_,
-                                   query_.bound, query_.bound,
-                                   query_.frameProp, kl);
-            if (kind_.verdict == Verdict::Proven || kind_.baseProven)
-                claim(kKind);
-        });
-    }
-
-    /** Has a challenger already claimed the race? (loop early-out) */
-    bool
-    decided() const
-    {
-        return winner_.load(std::memory_order_relaxed) != 0;
-    }
-
-    /** Stop both challengers and wait them out. Idempotent. */
-    void
-    finish()
-    {
-        stop_.store(true, std::memory_order_relaxed);
-        if (pdr_thread_.joinable())
-            pdr_thread_.join();
-        if (kind_thread_.joinable())
-            kind_thread_.join();
-    }
-
-    /**
-     * After finish(): fold the race outcome into the incumbent's
-     * result. A winning challenger replaces the verdict, source,
-     * engine attribution, and solver-work counters (winner-only
-     * attribution — the interrupted incumbent's partial work is not
-     * charged to this query's record). Returns true when a challenger
-     * verdict replaced the incumbent's.
-     */
-    bool
-    merge(CheckResult &result)
-    {
-        result.engineRaced = true;
-        // Incumbent refutations always stand: the challengers never
-        // carry traces, and a concrete counterexample (which replay
-        // will independently validate) outranks a proof claim.
-        if (result.verdict == Verdict::Refuted) {
-            if (decided())
-                warn("engine race: a challenger proved '%s' but BMC "
-                     "refuted it — keeping the counterexample for "
-                     "validation to arbitrate",
-                     query_.name.c_str());
-            return false;
-        }
-        int win = winner_.load(std::memory_order_relaxed);
-        if (win == kPdr) {
-            result.verdict = Verdict::Proven;
-            result.source = VerdictSource::Race;
-            result.engine = EngineKind::Pdr;
-            result.unbounded = pdr_.unbounded;
-            result.pdrFrames = pdr_.frames;
-            result.pdrObligations = pdr_.obligations;
-            result.conflicts = pdr_.conflicts;
-            result.propagations = pdr_.propagations;
-            return true;
-        }
-        if (win == kKind) {
-            result.verdict = Verdict::Proven;
-            result.source = VerdictSource::Race;
-            result.engine = EngineKind::KInduction;
-            result.unbounded = kind_.inductive;
-            result.conflicts = kind_.conflicts;
-            result.propagations = kind_.propagations;
-            return true;
-        }
-        // Nobody claimed. If the incumbent proved at the bound and a
-        // challenger that ran to completion holds an unbounded proof
-        // of the same property, record the stronger generality (the
-        // verdict itself is unchanged).
-        if (result.verdict == Verdict::Proven &&
-            ((pdr_.verdict == Verdict::Proven && pdr_.unbounded) ||
-             kind_.inductive))
-            result.unbounded = true;
-        return false;
-    }
-
-  private:
-    void
-    claim(int who)
-    {
-        int expected = 0;
-        if (winner_.compare_exchange_strong(expected, who)) {
-            stop_.store(true, std::memory_order_relaxed);
-            incumbent_.interrupt();
-        }
-    }
-
-    const nl::Netlist &nl_;
-    const std::unordered_map<std::string, nl::CellId> &signals_;
-    const Unroller::Options &options_;
-    const Query &query_;
-    SolveLimits limits_;
-    const std::atomic<bool> *engine_cancel_;
-    sat::Solver &incumbent_;
-
-    std::atomic<bool> stop_{false};
-    std::atomic<int> winner_{0};
-    std::thread pdr_thread_;
-    std::thread kind_thread_;
-    // Written by the challenger threads, read only after finish()'s
-    // joins (which provide the happens-before edge).
-    PdrResult pdr_;
-    InductiveResult kind_;
-};
-
-} // namespace
-
-CheckResult
-Engine::runProofEngine(const Query &query)
-{
-    CheckResult result;
-    result.bound = query.bound;
-    SolveLimits limits;
-    bool total_binding = false;
-    // Single-engine mode is diagnostic (--engine pdr / --engine kind):
-    // one attempt with the configured budgets, no retry ladder — an
-    // Unknown here is the answer the user asked this engine for.
-    if (!attemptLimits(query, 0, limits, total_binding))
-        return cancelledResult(query.bound);
-
-    bool refuted = false;
-    if (eopts_.engine == EngineChoice::Pdr) {
-        PdrOptions popts;
-        popts.bound = query.bound;
-        popts.limits = limits;
-        PdrResult pr = checkPdr(nl_, signals_, options_, query.seeds,
-                                query.frameProp, popts);
-        result.verdict = pr.verdict;
-        result.source = pr.source;
-        result.engine = EngineKind::Pdr;
-        result.unbounded = pr.unbounded;
-        result.pdrFrames = pr.frames;
-        result.pdrObligations = pr.obligations;
-        result.conflicts = pr.conflicts;
-        result.propagations = pr.propagations;
-        result.cnfVars = pr.cnfVars;
-        result.cnfClauses = pr.cnfClauses;
-        result.seconds = pr.seconds;
-        refuted = pr.verdict == Verdict::Refuted;
-    } else {
-        InductiveResult ir =
-            checkInductive(nl_, signals_, options_, query.bound,
-                           query.bound, query.frameProp, limits);
-        result.engine = EngineKind::KInduction;
-        result.conflicts = ir.conflicts;
-        result.propagations = ir.propagations;
-        if (ir.verdict == Verdict::Proven) {
-            result.verdict = Verdict::Proven;
-            result.source = VerdictSource::Solve;
-            result.unbounded = ir.inductive;
-        } else if (ir.verdict == Verdict::Refuted) {
-            refuted = true;
-        } else if (ir.baseProven) {
-            // Base case closed at the bound but the step did not:
-            // exactly BMC's bounded Proven.
-            result.verdict = Verdict::Proven;
-            result.source = VerdictSource::Solve;
-        } else {
-            result.verdict = Verdict::Unknown;
-            result.source = ir.source;
-        }
-    }
-
-    if (refuted) {
-        // Neither proof engine carries a trace in the engine's format;
-        // concretize the refutation through the plain BMC path so
-        // --validate replay, --cex-vcd, and quarantine see the same
-        // trace shape regardless of which engine found the bug first.
-        CheckResult cex = checkProperty(nl_, signals_, options_,
-                                        query.bound, query.prop, limits);
-        result.conflicts += cex.conflicts;
-        result.propagations += cex.propagations;
-        result.seconds += cex.seconds;
-        if (cex.verdict == Verdict::Refuted) {
-            result.verdict = Verdict::Refuted;
-            result.source = VerdictSource::Solve;
-            result.trace = std::move(cex.trace);
-        } else if (cex.verdict == Verdict::Proven) {
-            warn("engine disagreement on '%s': %s refuted but BMC "
-                 "proved at bound %u — degrading to Unknown",
-                 query.name.c_str(), engineKindName(result.engine),
-                 query.bound);
-            result.verdict = Verdict::Unknown;
-            result.source = VerdictSource::ValidationFailed;
-        } else {
-            // The concretizing solve ran out of budget; an
-            // unreplayable refutation must not be trusted.
-            result.verdict = Verdict::Unknown;
-            result.source = cex.source;
-        }
-    }
-
-    refineSource(result, total_binding);
-    return result;
-}
-
-namespace
-{
-
-/**
  * The end of the quarantine road: neither the original evidence nor a
  * fresh re-solve produced a self-consistent definite verdict. Degrade
  * to Unknown per the PR 3 policy (synthesis treats it exactly like a
@@ -692,6 +415,11 @@ Engine::validateResult(const Query &query, CheckResult &result,
         }
         break;
       }
+    }
+    // A proof that validation overturned holds at no bound at all.
+    if (result.verdict != Verdict::Proven) {
+        result.unbounded = false;
+        result.engine = EngineKind::Bmc;
     }
     result.validateSeconds += vtimer.seconds();
 }
@@ -868,22 +596,20 @@ Engine::runIncremental(Worker &worker, const Query &query)
     size_t vars_before = static_cast<size_t>(solver.numVars());
     size_t clauses_before = static_cast<size_t>(solver.numClauses());
 
+    // The query ends on every exit, so a property callback that throws
+    // (say, on a signal the netlist lacks) leaves this long-lived
+    // context reusable: its guarded clauses are retired as usual.
     ctx.beginQuery();
+    struct QueryScope
+    {
+        PropCtx &ctx;
+        ~QueryScope() { ctx.endQuery(); }
+    } query_scope{ctx};
     Lit bad = query.prop(ctx);
     ctx.assume(bad); // guarded assertion of the violation
     // The transition relation this query demanded is now in the CNF:
     // the snapshot point for warm-starting sibling contexts.
     maybePublishSeed(worker, ctx, query.bound);
-
-    // Proof-engine race: PDR and k-induction challengers start once,
-    // before the attempt loop, and run across every retry. A winning
-    // challenger interrupts this worker's incumbent solver.
-    std::unique_ptr<ProofRace> proof_race;
-    if (query.frameProp && eopts_.engine == EngineChoice::Race) {
-        proof_race = std::make_unique<ProofRace>(
-            nl_, signals_, options_, query, limits, &cancel_, solver);
-        proof_race->start();
-    }
 
     // Attempt/retry loop on the shared context: a retry just re-solves
     // with bigger limits — the learnt clauses from the failed attempt
@@ -908,8 +634,6 @@ Engine::runIncremental(Worker &worker, const Query &query)
         }
         result.retries = attempt;
         refineSource(result, total_binding);
-        if (proof_race && proof_race->decided())
-            break; // a challenger's proof supersedes further retries
         if (!shouldRetry(result, attempt))
             break;
         attempt++;
@@ -928,15 +652,33 @@ Engine::runIncremental(Worker &worker, const Query &query)
     result.cnfClauses = static_cast<size_t>(solver.numClauses());
     result.cnfVarsAdded = result.cnfVars - vars_before;
     result.cnfClausesAdded = result.cnfClauses - clauses_before;
-    if (proof_race) {
-        proof_race->finish();
-        // A challenger's interrupt poke is sticky; this context is
-        // long-lived and must not carry it into the next query.
-        solver.clearInterrupt();
-        proof_race->merge(result);
-    }
-    ctx.endQuery();
+
+    if (result.verdict == Verdict::Proven && query.frameProp)
+        runInductionStep(query, result);
     return result;
+}
+
+void
+Engine::runInductionStep(const Query &query, CheckResult &result)
+{
+    // The step gets the limits of the attempt that proved the query,
+    // freshly clamped to the total deadline; a cancelled engine or a
+    // spent total deadline skips it.
+    SolveLimits limits;
+    bool total_binding = false;
+    if (!attemptLimits(query, result.retries, limits, total_binding))
+        return;
+    StepResult step = checkInductionStep(nl_, signals_, options_,
+                                         query.bound, query.frameProp,
+                                         limits);
+    result.inductionStep = true;
+    result.conflicts += step.conflicts;
+    result.propagations += step.propagations;
+    result.seconds += step.seconds;
+    if (step.closed) {
+        result.unbounded = true;
+        result.engine = EngineKind::KInduction;
+    }
 }
 
 std::vector<CheckResult>
@@ -974,9 +716,9 @@ Engine::drain()
         stats_.replaySeconds += r.replaySeconds;
         stats_.recheckSeconds += r.recheckSeconds;
         stats_.validateSeconds += r.validateSeconds;
-        if (r.engineRaced)
+        if (r.inductionStep)
             stats_.engineRaces++;
-        // Per-engine win attribution: only verdicts *solved* this run
+        // Per-engine attribution: only verdicts *solved* this run
         // count (cache replays already counted when produced).
         if (r.verdict != Verdict::Unknown && !r.fromCache) {
             switch (r.engine) {
@@ -986,26 +728,12 @@ Engine::drain()
               case EngineKind::KInduction:
                 stats_.kindWins++;
                 break;
-              case EngineKind::Pdr:
-                stats_.pdrWins++;
-                break;
             }
         }
         if (r.unbounded)
             stats_.unboundedProofs++;
-        stats_.pdrFrames += r.pdrFrames;
-        stats_.pdrObligations += r.pdrObligations;
         stats_.inprocessRuns += r.inprocessRuns;
         stats_.inprocessClausesRemoved += r.inprocessClausesRemoved;
-    };
-
-    // Single-engine diagnostic modes (--engine pdr / --engine kind)
-    // replace BMC entirely for queries that provide the frame-local
-    // property form; queries without it always fall back to BMC.
-    auto proofOnly = [this](const Query &q) {
-        return q.frameProp &&
-               (eopts_.engine == EngineChoice::Pdr ||
-                eopts_.engine == EngineChoice::KInduction);
     };
 
     std::vector<size_t> todo;
@@ -1035,10 +763,7 @@ Engine::drain()
             for (size_t k; (k = next.fetch_add(1)) < todo.size();) {
                 size_t i = todo[k];
                 try {
-                    results[i] = proofOnly(batch[i])
-                                     ? runProofEngine(batch[i])
-                                     : runIncremental(*workers_[w],
-                                                      batch[i]);
+                    results[i] = runIncremental(*workers_[w], batch[i]);
                     postProcess(i, batch[i], results[i]);
                 } catch (...) {
                     errors[i] = std::current_exception();

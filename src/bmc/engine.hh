@@ -22,6 +22,13 @@
  * path; jobs=1 is a pool with one worker and one context per bound.
  * The fresh-context checkProperty() stays the reference oracle: it
  * backs the proof re-checks of ValidateMode::Full and quarantine.
+ *
+ * There is one proof path. Every query is a BMC solve at its bound;
+ * when that proves a query that has a frame-local form
+ * (Query::frameProp), the same worker runs the induction step of
+ * k-induction once at k = bound. The BMC solve is the base case, so a
+ * closed step makes the proof unbounded. The step never changes a
+ * verdict, only its generality.
  */
 
 #ifndef R2U_BMC_ENGINE_HH
@@ -38,7 +45,6 @@
 #include "bmc/checker.hh"
 #include "bmc/verdict_cache.hh"
 #include "common/thread_pool.hh"
-#include "netlist/coi.hh"
 
 namespace r2u::bmc
 {
@@ -66,25 +72,6 @@ const char *validateModeName(ValidateMode mode);
  * point and prove the validation layer catches it.
  */
 enum class SolveStage : uint8_t { Primary, Quarantine };
-
-/**
- * Proof-engine selection for queries that provide a frame-local
- * property (Query::frameProp):
- *  - Bmc: incumbent bounded model checking only (reference behavior).
- *  - KInduction: k-induction only (base case supplies the bounded
- *    verdict; a closed step upgrades it to unbounded).
- *  - Pdr: IC3/PDR only (see bmc/pdr.hh).
- *  - Race: per query, PDR and k-induction race the incumbent BMC
- *    solve; the first definitive verdict wins and interrupts the
- *    others. Challengers only ever win with Proven-class verdicts —
- *    refutations are always materialized by BMC, which owns trace
- *    fidelity — so the synthesized model stays bit-identical to
- *    --engine bmc at any jobs count.
- * Queries without frameProp always run plain BMC.
- */
-enum class EngineChoice : uint8_t { Bmc, KInduction, Pdr, Race };
-
-const char *engineChoiceName(EngineChoice choice);
 
 struct EngineOptions
 {
@@ -148,14 +135,6 @@ struct EngineOptions
      */
     std::function<void(const Query &, CheckResult &, SolveStage)>
         faultHook;
-
-    /**
-     * Proof-engine selection for frame-local queries (see
-     * EngineChoice). The default races IC3/PDR and k-induction against
-     * the incumbent BMC solve, harvesting unbounded proofs when the
-     * challengers converge first.
-     */
-    EngineChoice engine = EngineChoice::Race;
 };
 
 /** One property query in a batch. */
@@ -169,14 +148,6 @@ struct Query
     int64_t conflictBudget = kInheritBudget;
 
     /**
-     * Seed state elements the property reads (optional). Demand-driven
-     * unrolling slices to the cone automatically; declaring the seeds
-     * up front lets the IC3/PDR challenger restrict its transition
-     * relation to their cone (empty: the whole netlist).
-     */
-    nl::CoiSeeds seeds;
-
-    /**
      * Content-derived identity of this query: a hash of its COI slice,
      * property encoding, and bound (see nl::coneHash and the synthesis
      * frontend's per-query hashing), used verbatim as the
@@ -188,8 +159,8 @@ struct Query
 
     /**
      * Bound-independent content identity: contentHash with the bound
-     * left out of the mix. Unbounded Proven verdicts (PDR convergence,
-     * closed induction) are keyed by this too, so a cache hit
+     * left out of the mix. Unbounded Proven verdicts (a closed
+     * induction step) are keyed by this too, so a cache hit
      * can satisfy the same cone + property at *any* bound. 0 means
      * "unhashed" (no unbounded reuse).
      */
@@ -198,10 +169,11 @@ struct Query
     /**
      * Frame-local formulation of the property (optional): returns the
      * "bad at this frame" literal reading only frame f and frame-f
-     * inputs. When set and EngineOptions::engine != Bmc, the query is
-     * eligible for the k-induction/PDR proof engines; `prop` must be
-     * its bounded equivalent (the OR of frameProp over every frame of
-     * the bound), which the engines' verdicts are aligned with.
+     * inputs. When set, a Proven BMC verdict is followed by the
+     * induction step at k = bound, which can make the proof unbounded;
+     * `prop` must be its bounded equivalent (the OR of frameProp over
+     * every frame of the bound), so that the BMC solve is the step's
+     * base case.
      */
     FramePropertyFn frameProp;
 
@@ -259,20 +231,22 @@ struct EngineStats
     /** Clauses removed by those passes. */
     uint64_t inprocessClausesRemoved = 0;
 
-    // --- proof-engine race (see EngineChoice) ---
-    /** Queries that raced PDR/k-induction against BMC. */
+    // --- induction step (see Query::frameProp) ---
+    // The names predate the single proof path and are kept because
+    // existing report consumers read them.
+    /** Queries that ran the induction step after a bounded proof. */
     uint64_t engineRaces = 0;
-    /** Verdicts produced by plain BMC (incumbent or only engine). */
+    /** Verdicts left with plain BMC (no step, or the step stayed open). */
     uint64_t bmcWins = 0;
-    /** Verdicts produced by k-induction. */
+    /** Verdicts whose induction step closed (unbounded proofs). */
     uint64_t kindWins = 0;
-    /** Verdicts produced by IC3/PDR. */
+    /** Always 0: no engine besides BMC and the step remains. */
     uint64_t pdrWins = 0;
     /** Proven verdicts valid at every bound, not just the query's. */
     uint64_t unboundedProofs = 0;
-    /** Sum of PDR frame levels cleared across the batch(es). */
+    /** Always 0 (see pdrWins). */
     uint64_t pdrFrames = 0;
-    /** Sum of PDR proof obligations processed. */
+    /** Always 0 (see pdrWins). */
     uint64_t pdrObligations = 0;
 };
 
@@ -329,14 +303,18 @@ class Engine
   private:
     struct Worker;
 
+    /**
+     * The one proof path: the incremental BMC attempt ladder on the
+     * worker's context, then, for a Proven query with a frameProp, one
+     * induction step that can upgrade the proof to unbounded.
+     */
     CheckResult runIncremental(Worker &worker, const Query &query);
     /**
-     * Single-engine KInduction/Pdr path for a frame-local query
-     * (EngineOptions::engine). PDR refutations are concretized through
-     * a plain BMC re-solve (guaranteed Sat at the bound) so the trace
-     * machinery — replay, VCD, quarantine — works unchanged.
+     * Run the induction step of @p query after its bounded proof and
+     * fold the outcome into @p result: a closed step sets unbounded;
+     * an open, budget-stopped or cancelled step changes nothing.
      */
-    CheckResult runProofEngine(const Query &query);
+    void runInductionStep(const Query &query, CheckResult &result);
 
     /**
      * Everything between "the solver answered" and "the caller sees

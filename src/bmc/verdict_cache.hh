@@ -84,7 +84,8 @@ class VerdictCache
         bool validated = false;
         /**
          * Proof generality: true for a Proven verdict valid at every
-         * bound (PDR convergence or a closed induction step), false
+         * bound (a closed induction step; PDR convergence in stores
+         * written by older builds), false
          * for bound-specific verdicts. Bounded records only ever
          * answer an exact content-key match.
          */

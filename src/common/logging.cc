@@ -70,7 +70,7 @@ inform(const char *fmt, ...)
     va_start(ap, fmt);
     std::string s = vstrfmt(fmt, ap);
     va_end(ap);
-    emitLine(stdout, "info: ", s);
+    emitLine(stderr, "info: ", s);
 }
 
 void
@@ -82,7 +82,7 @@ debugLog(const char *fmt, ...)
     va_start(ap, fmt);
     std::string s = vstrfmt(fmt, ap);
     va_end(ap);
-    emitLine(stdout, "debug: ", s);
+    emitLine(stderr, "debug: ", s);
 }
 
 void

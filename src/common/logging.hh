@@ -33,10 +33,13 @@ void setLogVerbosity(int level);
 std::string strfmt(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 std::string vstrfmt(const char *fmt, va_list ap);
 
-/** Informative status message (verbosity >= 1). */
+/**
+ * Informative status message (verbosity >= 1). Like every log line it
+ * goes to stderr, so a tool's stdout carries only its own output.
+ */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Debug-level message (verbosity >= 2). */
+/** Debug-level message (verbosity >= 2), on stderr. */
 void debugLog(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Something works but is suspicious; always printed to stderr. */

@@ -90,8 +90,8 @@ Test::parse(const std::string &text)
         } else if (toks[0] == "thread") {
             if (toks.size() != 2)
                 fatal("litmus: bad thread line '%s'", line.c_str());
-            size_t idx = std::stoul(toks[1]);
-            if (idx != test.threads.size())
+            int64_t idx = parseInt64("litmus: thread", toks[1]);
+            if (idx != static_cast<int64_t>(test.threads.size()))
                 fatal("litmus: threads must be declared in order");
             test.threads.emplace_back();
         } else if (toks[0] == "w" || toks[0] == "r") {
@@ -100,7 +100,9 @@ Test::parse(const std::string &text)
             Access a;
             a.isWrite = toks[0] == "w";
             a.loc = toks[1];
-            int v = std::stoi(toks[2]);
+            int v = parseInt(a.isWrite ? "litmus: write value"
+                                       : "litmus: read register",
+                             toks[2]);
             if (a.isWrite)
                 a.value = v;
             else
@@ -118,18 +120,22 @@ Test::parse(const std::string &text)
                     fatal("litmus: bad condition '%s'", part.c_str());
                 if (colon != std::string::npos && colon < eq) {
                     RegCond rc;
-                    rc.thread = std::stoi(part.substr(0, colon));
+                    rc.thread = parseInt("litmus: condition thread",
+                                         trim(part.substr(0, colon)));
                     std::string reg =
                         trim(part.substr(colon + 1, eq - colon - 1));
                     if (reg.empty() || reg[0] != 'x')
                         fatal("litmus: bad register '%s'", reg.c_str());
-                    rc.reg = std::stoi(reg.substr(1));
-                    rc.value = std::stoi(part.substr(eq + 1));
+                    rc.reg = parseInt("litmus: condition register",
+                                      reg.substr(1));
+                    rc.value = parseInt("litmus: condition value",
+                                        trim(part.substr(eq + 1)));
                     test.interesting.regs.push_back(rc);
                 } else {
                     MemCond mc;
                     mc.loc = trim(part.substr(0, eq));
-                    mc.value = std::stoi(part.substr(eq + 1));
+                    mc.value = parseInt("litmus: condition value",
+                                        trim(part.substr(eq + 1)));
                     test.interesting.mem.push_back(mc);
                 }
             }

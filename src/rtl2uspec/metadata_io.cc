@@ -41,15 +41,18 @@ need(const std::map<std::string, std::string> &kv,
     return it->second;
 }
 
+/**
+ * A whole-token unsigned 32-bit number, decimal or 0x-prefixed hex;
+ * @p what names the directive or key in the diagnostic.
+ */
 uint32_t
-parseHex(const std::string &s, const std::string &line)
+parseHex(const std::string &what, const std::string &s)
 {
-    try {
-        return static_cast<uint32_t>(std::stoul(s, nullptr, 0));
-    } catch (...) {
-        fatal("metadata: bad number '%s' in '%s'", s.c_str(),
-              line.c_str());
-    }
+    std::string opt = "metadata: " + what;
+    int64_t v = parseInt64(opt.c_str(), s, 0);
+    if (v < 0 || v > static_cast<int64_t>(UINT32_MAX))
+        fatal("%s: '%s' is out of range", opt.c_str(), s.c_str());
+    return static_cast<uint32_t>(v);
 }
 
 } // namespace
@@ -67,14 +70,22 @@ parseMetadata(const std::string &text)
             continue;
         auto toks = splitWs(line);
         const std::string &kind = toks[0];
+        auto value = [&]() -> const std::string & {
+            if (toks.size() != 2)
+                fatal("metadata: '%s' expects one value: '%s'",
+                      kind.c_str(), line.c_str());
+            return toks[1];
+        };
 
         if (kind == "bound") {
-            md.bound = parseHex(toks.at(1), line);
+            md.bound = parseHex(kind, value());
+            if (md.bound == 0)
+                fatal("metadata: bound must be at least 1");
         } else if (kind == "issue_by") {
-            md.issueByFrame = parseHex(toks.at(1), line);
+            md.issueByFrame = parseHex(kind, value());
         } else if (kind == "conflict_budget") {
             md.conflictBudget =
-                static_cast<int64_t>(std::stoll(toks.at(1)));
+                parseInt64("metadata: conflict_budget", value());
         } else if (kind == "no_relax") {
             md.relaxPairs = false;
         } else if (kind == "no_merge") {
@@ -101,8 +112,8 @@ parseMetadata(const std::string &text)
             auto kv = kvPairs(toks, 1, line);
             InstrType op;
             op.name = need(kv, "name", line);
-            op.mask = parseHex(need(kv, "mask", line), line);
-            op.match = parseHex(need(kv, "match", line), line);
+            op.mask = parseHex("mask", need(kv, "mask", line));
+            op.match = parseHex("match", need(kv, "match", line));
             std::string k = need(kv, "kind", line);
             if (k == "read")
                 op.isRead = true;

@@ -6,6 +6,7 @@
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "common/timer.hh"
+#include "netlist/coi.hh"
 #include "netlist/hash.hh"
 #include "sva/monitors.hh"
 
@@ -57,7 +58,6 @@ class Synthesizer
         eopts.totalSeconds = opts.totalTimeoutSeconds;
         eopts.retryEscalation = opts.retryEscalation;
         eopts.maxRetries = opts.maxRetries;
-        eopts.engine = opts.engine;
         validate_mode_ = bmc::validateModeName(opts.validate);
         eopts.validate = opts.validate;
         eopts.validateSampleN = opts.validateSampleN;
@@ -111,14 +111,11 @@ class Synthesizer
         const bmc::EngineStats &estats = engine_->stats();
         static_cast<bmc::EngineStats &>(out_) = estats;
         out_.validateMode = validate_mode_;
-        out_.engineMode = bmc::engineChoiceName(engine_->options().engine);
         if (estats.engineRaces > 0)
-            inform("rtl2uspec: engine race: %zu race(s); wins "
-                   "bmc=%zu kind=%zu pdr=%zu; %zu unbounded proof(s)",
+            inform("rtl2uspec: induction step: %zu query(ies), "
+                   "%zu closed; %zu unbounded proof(s)",
                    static_cast<size_t>(estats.engineRaces),
-                   static_cast<size_t>(estats.bmcWins),
                    static_cast<size_t>(estats.kindWins),
-                   static_cast<size_t>(estats.pdrWins),
                    static_cast<size_t>(estats.unboundedProofs));
         if (out_.cacheEnabled)
             inform("rtl2uspec: cache: %zu hit(s), %zu miss(es) "
@@ -409,14 +406,14 @@ class Synthesizer
         q.prop = std::move(prop);
         // Strictly frame-local form of the same property (prop must be
         // the OR of frame_prop over every frame of the bound): enables
-        // the IC3/PDR + k-induction challengers on this query.
+        // the induction step after a bounded proof of this query.
         q.frameProp = std::move(frame_prop);
-        q.seeds = base_seeds_;
-        q.seeds.cells.insert(q.seeds.cells.end(), extra.cells.begin(),
-                             extra.cells.end());
-        q.seeds.mems.insert(q.seeds.mems.end(), extra.mems.begin(),
-                            extra.mems.end());
-        nl::Coi coi = nl::computeCoi(nl_, q.seeds);
+        nl::CoiSeeds seeds = base_seeds_;
+        seeds.cells.insert(seeds.cells.end(), extra.cells.begin(),
+                           extra.cells.end());
+        seeds.mems.insert(seeds.mems.end(), extra.mems.begin(),
+                          extra.mems.end());
+        nl::Coi coi = nl::computeCoi(nl_, seeds);
         out_.svas[idx].coiCells = coi.numCells();
         uint64_t cone = full_unroll_ ? netlist_hash_ : cone_hasher_.hash(coi);
         q.contentHash = queryContentHash(idx, cone);
@@ -453,7 +450,7 @@ class Synthesizer
     /**
      * Bound-independent sibling of queryContentHash(): identical
      * ingredients with the unroll bound left out. An *unbounded*
-     * Proven verdict (PDR fixpoint, closed induction step) is keyed
+     * Proven verdict (a closed induction step) is keyed
      * under this hash too, so a later run at a different bound can
      * reuse the proof (VerdictCache::lookupUnbounded).
      */
@@ -493,7 +490,7 @@ class Synthesizer
             rec.validated = results[q].validated;
             rec.fromCache = results[q].fromCache;
             rec.engine = bmc::engineKindName(results[q].engine);
-            rec.engineRaced = results[q].engineRaced;
+            rec.inductionStep = results[q].inductionStep;
             rec.unbounded = results[q].unbounded;
             switch (results[q].verdict) {
               case Verdict::Refuted:
@@ -931,7 +928,8 @@ class Synthesizer
             const bool write = chk.write;
             // Frame-local kernel shared by the plain-BMC property and
             // its FramePropertyFn form, so they are the same property
-            // by construction (race verdicts stay identical).
+            // by construction (the BMC solve is the induction step's
+            // base case).
             auto frame_bad = [this, write](PropCtx &ctx,
                                            unsigned f) -> Lit {
                 const CoreMeta &core = md_.cores[0];
@@ -1854,18 +1852,12 @@ SynthesisResult::report() const
             static_cast<size_t>(validationFailures), validateSeconds,
             replaySeconds, recheckSeconds);
     }
-    if (engineRaces > 0 || engineMode != "bmc")
-        out += strfmt("engine (%s): %zu race(s); wins bmc=%zu "
-                      "kind=%zu pdr=%zu; %zu unbounded proof(s), "
-                      "%zu PDR frame(s) / %zu obligation(s)\n",
-                      engineMode.c_str(),
+    if (engineRaces > 0)
+        out += strfmt("induction step: %zu query(ies), %zu closed; "
+                      "%zu unbounded proof(s)\n",
                       static_cast<size_t>(engineRaces),
-                      static_cast<size_t>(bmcWins),
                       static_cast<size_t>(kindWins),
-                      static_cast<size_t>(pdrWins),
-                      static_cast<size_t>(unboundedProofs),
-                      static_cast<size_t>(pdrFrames),
-                      static_cast<size_t>(pdrObligations));
+                      static_cast<size_t>(unboundedProofs));
     if (inprocessRuns > 0)
         out += strfmt("simplify: %zu inprocessing pass(es) removed %zu "
                       "clause(s)\n",
@@ -1922,8 +1914,11 @@ SynthesisResult::jsonReport() const
         .set("invalidations", num(cacheInvalidations))
         .set("appends", num(cacheAppends));
 
+    // Key names predate the single proof path: "races" counts queries
+    // that ran the induction step, "kind_wins" the steps that closed,
+    // and the pdr_* fields stay 0.
     Value engine = Value::object();
-    engine.set("mode", str(engineMode))
+    engine.set("mode", str("bmc+kind"))
         .set("races", num(engineRaces))
         .set("bmc_wins", num(bmcWins))
         .set("kind_wins", num(kindWins))
@@ -1956,7 +1951,7 @@ SynthesisResult::jsonReport() const
             .set("validated", flag(r.validated))
             .set("from_cache", flag(r.fromCache))
             .set("engine", str(r.engine))
-            .set("engine_raced", flag(r.engineRaced))
+            .set("engine_raced", flag(r.inductionStep))
             .set("unbounded", flag(r.unbounded))
             .set("degraded", flag(r.degraded));
         if (r.degraded)
@@ -1982,10 +1977,48 @@ SynthesisResult::jsonReport() const
     return out;
 }
 
+std::string
+metadataSignalError(const DesignMetadata &metadata,
+                    const vlog::ElabResult &design)
+{
+    std::vector<std::pair<std::string, std::string>> named;
+    for (size_t c = 0; c < metadata.cores.size(); c++) {
+        const CoreMeta &core = metadata.cores[c];
+        std::string who = strfmt("core %zu ", c);
+        named.emplace_back(who + "ifr", core.ifr);
+        named.emplace_back(who + "im_pc", core.imPc);
+        for (const auto &p : core.pcrs)
+            named.emplace_back(who + "pcrs", p);
+        named.emplace_back(who + "req_en", core.reqEn);
+        named.emplace_back(who + "req_wen", core.reqWen);
+    }
+    const RemoteInterface &remote = metadata.remote;
+    named.emplace_back("remote grant", remote.grant);
+    named.emplace_back("remote pipe_valid", remote.pipeValid);
+    named.emplace_back("remote pipe_wen", remote.pipeWen);
+    named.emplace_back("remote pipe_core", remote.pipeCore);
+    for (const auto &r : remote.pipelineRegs)
+        named.emplace_back("remote pipe_regs", r);
+    for (const auto &[field, name] : named)
+        if (!name.empty() && !design.signalMap.count(name))
+            return strfmt("metadata %s names signal '%s', which the "
+                          "design does not have",
+                          field.c_str(), name.c_str());
+    if (!remote.memName.empty() &&
+        design.netlist->findMemoryByName(remote.memName) < 0)
+        return strfmt("metadata remote mem names memory '%s', which the "
+                      "design does not have",
+                      remote.memName.c_str());
+    return "";
+}
+
 SynthesisResult
 synthesize(const vlog::ElabResult &design, const DesignMetadata &metadata,
            const SynthesisOptions &options)
 {
+    std::string bad_signal = metadataSignalError(metadata, design);
+    if (!bad_signal.empty())
+        fatal("%s", bad_signal.c_str());
     Synthesizer s(design, metadata, options);
     return s.run();
 }

@@ -56,11 +56,12 @@ struct SvaRecord
     /** Verdict replayed from the verdict cache instead of solved. */
     bool fromCache = false;
 
-    /** Proof engine that produced the verdict ("bmc", "kind", "pdr"). */
+    /** Proof engine that produced the verdict ("bmc", or "kind" when
+     *  the induction step closed). */
     std::string engine = "bmc";
-    /** A PDR/k-induction challenger raced the BMC solve. */
-    bool engineRaced = false;
-    /** Proven at *every* bound (PDR fixpoint / closed induction). */
+    /** The induction step ran after the bounded proof. */
+    bool inductionStep = false;
+    /** Proven at *every* bound (closed induction step). */
     bool unbounded = false;
 
     /** Solver CNF footprint when this query finished (COI-sliced
@@ -121,19 +122,6 @@ struct SynthesisOptions
     unsigned maxRetries = 3;
 
     /**
-     * Proof-engine selection (--engine {bmc,kind,pdr,race}). The
-     * default races IC3/PDR and k-induction challengers against the
-     * incremental BMC solve of every frame-local query; the first
-     * definitive verdict wins and interrupts the others. Verdicts —
-     * and therefore the emitted model — are identical across engines
-     * at the metadata bound; race/pdr/kind can additionally return
-     * *unbounded* proofs (recorded in the report and reusable at any
-     * bound via the verdict cache). Queries whose property is not
-     * frame-local always fall back to plain BMC.
-     */
-    bmc::EngineChoice engine = bmc::EngineChoice::Race;
-
-    /**
      * Trust-but-verify verdict validation (bmc::ValidateMode): the
      * default replays every counterexample and spot-checks every
      * validateSampleN-th proof in a fresh solver context.
@@ -178,7 +166,7 @@ struct SynthesisOptions
 
 /**
  * One synthesis run's output. The engine's run-level counters
- * (validation, verdict cache, proof-engine race, inprocessing, unroll
+ * (validation, verdict cache, induction step, inprocessing, unroll
  * contexts) are the bmc::EngineStats base, assigned once when SVA
  * evaluation ends; the fields below are what synthesis adds.
  */
@@ -206,8 +194,6 @@ struct SynthesisResult : bmc::EngineStats
     std::string validateMode = "off";
     /** True when a verdict cache was in use this run. */
     bool cacheEnabled = false;
-    /** Resolved --engine mode ("bmc", "kind", "pdr", "race"). */
-    std::string engineMode = "race";
     /**
      * Human-readable record of every conservative degradation an
      * Unknown verdict forced (one entry per degraded SVA; also
@@ -238,7 +224,19 @@ struct SynthesisResult : bmc::EngineStats
     json::Value jsonReport() const;
 };
 
-/** Run the full synthesis procedure. */
+/**
+ * Check every signal name the metadata carries against the elaborated
+ * design: each core's IFR, IM_PC, PCRs and request enables, and the
+ * remote interface's grant, pipeline registers and memory. Returns ""
+ * when all resolve, else a diagnostic that names the first missing
+ * one. synthesize() throws it as a FatalError before any query is
+ * built; the daemon answers it as a bad request.
+ */
+std::string metadataSignalError(const DesignMetadata &metadata,
+                                const vlog::ElabResult &design);
+
+/** Run the full synthesis procedure; fatal() on metadata that names
+ *  a signal the design lacks (see metadataSignalError). */
 SynthesisResult synthesize(const vlog::ElabResult &design,
                            const DesignMetadata &metadata,
                            const SynthesisOptions &options = {});

@@ -582,6 +582,9 @@ Server::handleSynthesize(const json::Value &req)
             eo.params[k] = v.asInt();
     }
     vlog::ElabResult design = vlog::elaborateFiles(paths, eo);
+    std::string bad_signal = rtl2uspec::metadataSignalError(md, design);
+    if (!bad_signal.empty())
+        return errResp("bad_request", bad_signal);
 
     double budget = opts_.requestSeconds;
     double asked = req.getDouble("timeout", -1.0);

@@ -238,8 +238,8 @@ class DslParser
             pos_++;
         if (pos_ == start)
             fatal("uspec parse: expected number at offset %zu", pos_);
-        return static_cast<size_t>(
-            std::stoul(text_.substr(start, pos_ - start)));
+        return static_cast<size_t>(parseInt64(
+            "uspec parse: number", text_.substr(start, pos_ - start)));
     }
 
     std::string

@@ -17,9 +17,11 @@
 #ifndef R2U_TESTS_STORE_FRAMES_HH
 #define R2U_TESTS_STORE_FRAMES_HH
 
+#include <compare>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -69,6 +71,46 @@ appendRawRecord(const std::string &path, uint64_t key,
     std::ofstream out(path, std::ios::binary | std::ios::app);
     out.write(reinterpret_cast<const char *>(frame.data()),
               static_cast<std::streamsize>(frame.size()));
+}
+
+/** The identity fields of one stored record (see the layout above). */
+struct RawRecord
+{
+    uint64_t key = 0;
+    uint64_t baseKey = 0;
+    uint8_t verdict = 0;
+    bool unbounded = false; ///< flags bit 0x02
+
+    auto operator<=>(const RawRecord &) const = default;
+};
+
+/** Every well-framed record in a verdicts.r2uc file, in file order;
+ *  the 8-byte header is skipped and checksums are not verified. */
+inline std::vector<RawRecord>
+readRawRecords(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::vector<uint8_t> file((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    auto get = [&](size_t off, auto &v) {
+        std::memcpy(&v, file.data() + off, sizeof(v));
+    };
+    std::vector<RawRecord> out;
+    for (size_t off = 8; off + 12 <= file.size();) {
+        uint32_t len = 0;
+        get(off, len);
+        size_t payload = off + 12;
+        if (len < 19 || payload + len > file.size())
+            break;
+        RawRecord r;
+        get(payload, r.key);
+        get(payload + 8, r.baseKey);
+        r.verdict = file[payload + 16];
+        r.unbounded = (file[payload + 18] & 0x02) != 0;
+        out.push_back(r);
+        off = payload + len;
+    }
+    return out;
 }
 
 } // namespace r2u::test

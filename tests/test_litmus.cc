@@ -47,6 +47,31 @@ TEST(Litmus, ParseErrors)
     EXPECT_THROW(LTest::parse("name t\nthread 0\nbogus"), FatalError);
 }
 
+// Every integer token must parse whole and fit: a non-numeric,
+// partial or overflowing token is a FatalError diagnostic naming the
+// field, never an uncaught std::stoi exception.
+TEST(Litmus, MalformedNumbersAreDiagnosed)
+{
+    const std::string head = "name t\nthread 0\nw x 1\n";
+    for (const char *bad :
+         {"r x zz", "r x 3q", "r x 99999999999", "w y 1.5",
+          "thread zz", "thread 1q", "thread 99999999999999999999",
+          "interesting 0:x1=zz", "interesting 0:x1=1q",
+          "interesting 0:x1=99999999999", "interesting q:x1=1",
+          "interesting 0:xq=1", "interesting 0:x1q=1",
+          "interesting x=zz", "interesting x=2q",
+          "interesting x=99999999999"}) {
+        try {
+            LTest::parse(head + bad);
+            ADD_FAILURE() << "accepted '" << bad << "'";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("litmus"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(Litmus, LocationsAndAssembly)
 {
     LTest t = LTest::parse(R"(name mp

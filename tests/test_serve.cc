@@ -256,6 +256,37 @@ TEST(Serve, PingStatusAndBadRequests)
     ::close(fd);
 }
 
+// Metadata that names a signal the design lacks is the client's
+// error: the daemon answers bad_request, naming the signal, and keeps
+// serving.
+TEST(Serve, UnknownMetadataSignalIsABadRequest)
+{
+    std::string sock = tempPath("serve_bad_signal.sock");
+    ServerOptions opts;
+    opts.socketPath = sock;
+    TestDaemon daemon(std::move(opts));
+
+    Client client;
+    std::string err;
+    ASSERT_TRUE(client.connect(sock, &err)) << err;
+    json::Value req = synthesizeRequest();
+    req.set("meta", json::Value::string(std::string(kSourceDir) +
+                                        "/tests/inputs/bad_signal.meta"));
+    json::Value resp;
+    ASSERT_TRUE(client.request(req, resp, &err)) << err;
+    EXPECT_FALSE(resp.getBool("ok"));
+    EXPECT_EQ(resp.getStr("code"), "bad_request");
+    EXPECT_NE(resp.getStr("error").find("'core_0.no_such_signal'"),
+              std::string::npos)
+        << resp.getStr("error");
+
+    req = json::Value::object();
+    req.set("type", json::Value::string("ping"));
+    ASSERT_TRUE(client.request(req, resp, &err)) << err;
+    EXPECT_TRUE(resp.getBool("ok"));
+    EXPECT_TRUE(resp.getBool("pong"));
+}
+
 TEST(Serve, OverloadShedsWithExplicitReply)
 {
     std::string sock = tempPath("serve_overload.sock");

@@ -132,6 +132,17 @@ AddEdge ((i0, missing), (i0, missing)).
 )"), FatalError);
 }
 
+// Integer tokens in a model are whole and in range: an overflowing,
+// non-numeric or partial stage index is a FatalError diagnostic.
+TEST(Uspec, MalformedNumbersAreDiagnosed)
+{
+    for (const char *bad :
+         {"StageName 99999999999999999999999 \"a\".",
+          "StageName zz \"a\".", "StageName 1q \"a\"."}) {
+        EXPECT_THROW(Model::parse(bad), FatalError) << bad;
+    }
+}
+
 TEST(Uhb, GraphCycleDetection)
 {
     uhb::Graph g(2, 2);

@@ -80,14 +80,6 @@ usage()
         "                  enables; cheap first pass, escalate)\n"
         "  --max-retries N cap on escalated retries per SVA "
         "(default 3)\n"
-        "  --engine E      proof engine per SVA query: bmc | kind |\n"
-        "                  pdr | race (default race: PDR and\n"
-        "                  k-induction race the incremental BMC solve;\n"
-        "                  first definitive verdict wins and\n"
-        "                  interrupts the rest. Verdicts and the\n"
-        "                  emitted model are identical to --engine\n"
-        "                  bmc; the challengers can additionally close\n"
-        "                  proofs as unbounded)\n"
         "  --validate MODE verdict validation: off | replay | full |\n"
         "                  sample=N (default sample=8: replay every\n"
         "                  counterexample through the reference\n"
@@ -169,20 +161,6 @@ main(int argc, char **argv)
                 if (n < 0)
                     fatal("--max-retries expects a count >= 0");
                 synth_opts.maxRetries = static_cast<unsigned>(n);
-            } else if (arg == "--engine") {
-                std::string e = next();
-                if (e == "bmc") {
-                    synth_opts.engine = bmc::EngineChoice::Bmc;
-                } else if (e == "kind") {
-                    synth_opts.engine = bmc::EngineChoice::KInduction;
-                } else if (e == "pdr") {
-                    synth_opts.engine = bmc::EngineChoice::Pdr;
-                } else if (e == "race") {
-                    synth_opts.engine = bmc::EngineChoice::Race;
-                } else {
-                    fatal("--engine expects bmc|kind|pdr|race, "
-                          "got '%s'", e.c_str());
-                }
             } else if (arg == "--validate") {
                 std::string mode = next();
                 if (mode == "off") {
