@@ -1,5 +1,7 @@
 #include "netlist/hash.hh"
 
+#include <algorithm>
+
 namespace r2u::nl
 {
 
@@ -93,6 +95,25 @@ uint64_t
 coneHash(const Netlist &nl, const CoiSeeds &seeds)
 {
     return coneHash(nl, computeCoi(nl, seeds));
+}
+
+Cone
+ConeHasher::cone(CoiSeeds seeds)
+{
+    auto normalize = [](auto &ids) {
+        std::sort(ids.begin(), ids.end());
+        ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    };
+    normalize(seeds.cells);
+    normalize(seeds.mems);
+    auto key = std::make_pair(std::move(seeds.cells), std::move(seeds.mems));
+    auto it = by_seeds_.find(key);
+    if (it != by_seeds_.end())
+        return it->second;
+    Coi coi = computeCoi(nl_, {key.first, key.second});
+    Cone c{coi.numCells(), hash(coi)};
+    by_seeds_.emplace(std::move(key), c);
+    return c;
 }
 
 uint64_t

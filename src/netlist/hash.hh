@@ -106,17 +106,33 @@ uint64_t coneHash(const Netlist &nl, const Coi &coi);
 /** Convenience: computeCoi(nl, seeds) then hash the cone. */
 uint64_t coneHash(const Netlist &nl, const CoiSeeds &seeds);
 
+/** What synthesis records for one query's cone: its size and key. */
+struct Cone
+{
+    size_t cells = 0;  ///< Coi::numCells()
+    uint64_t hash = 0; ///< coneHash() of the cone
+};
+
 /**
- * coneHash() with a memo keyed by the cone's cell and memory bitmaps,
- * so each distinct cone is hashed once. Synthesis keys every SVA query
- * by its cone, and queries over one design share few cones (the 37 on
- * the multi-V-scale have 3). Every value equals coneHash(nl, coi).
- * Not thread-safe.
+ * Cone keys for one netlist, each computed once. Synthesis keys every
+ * SVA query by its cone, and its queries repeat few seed sets (the 37
+ * on the multi-V-scale have 12) and fewer cones (3). cone() memoizes
+ * computeCoi per seed set, and hash() memoizes coneHash per cone
+ * (keyed by its cell and memory bitmaps), so each distinct seed set
+ * is closed once and each distinct cone hashed once. Every value
+ * equals what computeCoi and coneHash return. Not thread-safe.
  */
 class ConeHasher
 {
   public:
     explicit ConeHasher(const Netlist &nl) : nl_(nl) {}
+
+    /**
+     * The cone of @p seeds. Seeds are sorted and de-duplicated first:
+     * a cone is a closure over a set, so their order and repeats
+     * cannot change it.
+     */
+    Cone cone(CoiSeeds seeds);
 
     uint64_t hash(const Coi &coi);
 
@@ -125,6 +141,8 @@ class ConeHasher
 
   private:
     const Netlist &nl_;
+    std::map<std::pair<std::vector<CellId>, std::vector<MemId>>, Cone>
+        by_seeds_;
     std::map<std::pair<std::vector<bool>, std::vector<bool>>, uint64_t>
         memo_;
 };

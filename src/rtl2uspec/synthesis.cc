@@ -413,9 +413,9 @@ class Synthesizer
                            extra.cells.end());
         seeds.mems.insert(seeds.mems.end(), extra.mems.begin(),
                           extra.mems.end());
-        nl::Coi coi = nl::computeCoi(nl_, seeds);
-        out_.svas[idx].coiCells = coi.numCells();
-        uint64_t cone = full_unroll_ ? netlist_hash_ : cone_hasher_.hash(coi);
+        const nl::Cone coi = cone_hasher_.cone(std::move(seeds));
+        out_.svas[idx].coiCells = coi.cells;
+        uint64_t cone = full_unroll_ ? netlist_hash_ : coi.hash;
         q.contentHash = queryContentHash(idx, cone);
         q.baseHash = queryBaseHash(idx, cone);
         engine_->enqueue(std::move(q));
@@ -1783,7 +1783,8 @@ class Synthesizer
     /** nl::structuralHash of the whole design (full-unroll key;
      *  computed only under --full-unroll). */
     uint64_t netlist_hash_ = 0;
-    /** Per-query cone keys, one coneHash per distinct cone. */
+    /** Per-query cone sizes and keys, one computeCoi per distinct
+     *  seed set and one coneHash per distinct cone. */
     nl::ConeHasher cone_hasher_;
     /** propertyEnvHash() of the metadata (per-query key ingredient). */
     uint64_t property_env_hash_ = 0;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <map>
 #include <set>
 
 #include <poll.h>
@@ -23,6 +24,7 @@
 #include "serve/protocol.hh"
 #include "uspec/uspec.hh"
 #include "verilog/elaborate.hh"
+#include "verilog/parser.hh"
 
 namespace r2u::serve
 {
@@ -416,7 +418,8 @@ Server::dispatch(const json::Value &req)
             r = type == "synthesize" ? handleSynthesize(req)
                                      : handleCampaign(req);
         } catch (const FatalError &e) {
-            r = errResp("internal", e.what());
+            // fatal() reports bad input (design, metadata, paths).
+            r = errResp("bad_request", e.what());
         } catch (const std::exception &e) {
             r = errResp("internal", e.what());
         }
@@ -465,6 +468,15 @@ Server::handleStatus() const
                   json::Value::number(uint64_t{cache_.numAppended()}));
     }
     resp.set("cache", std::move(cache));
+    json::Value frontend = json::Value::object();
+    {
+        std::lock_guard<std::mutex> lock(frontend_mu_);
+        frontend.set("entries",
+                     json::Value::number(uint64_t{frontend_.size()}));
+        frontend.set("hits", json::Value::number(frontend_hits_));
+        frontend.set("misses", json::Value::number(frontend_misses_));
+    }
+    resp.set("frontend", std::move(frontend));
     if (opts_.chaos)
         resp.set("chaos", json::Value::string(opts_.chaos->summary()));
     return resp;
@@ -551,6 +563,74 @@ Server::watchdogLoop()
     }
 }
 
+std::shared_ptr<const vlog::ElabResult>
+Server::elaborateCached(const std::vector<std::string> &paths,
+                        const vlog::ElabOptions &eo, bool &cached)
+{
+    // Read each file once: the key holds exactly the bytes parsed
+    // below, so an edit to any file (or another top, param or path)
+    // misses. Fields are length-prefixed so no two inputs concatenate
+    // to the same key.
+    std::string key;
+    auto field = [&key](const std::string &s) {
+        key += std::to_string(s.size());
+        key += ':';
+        key += s;
+    };
+    field(eo.top);
+    for (const auto &[name, value] :
+         std::map<std::string, int64_t>(eo.params.begin(),
+                                        eo.params.end())) {
+        field(name);
+        field(std::to_string(value));
+    }
+    std::vector<std::string> sources;
+    for (const std::string &path : paths) {
+        sources.push_back(readFile(path));
+        field(path);
+        field(sources.back());
+    }
+
+    auto find = [&]() -> std::shared_ptr<const vlog::ElabResult> {
+        for (auto it = frontend_.begin(); it != frontend_.end(); ++it) {
+            if (it->key == key) {
+                frontend_.splice(frontend_.begin(), frontend_, it);
+                return it->design;
+            }
+        }
+        return nullptr;
+    };
+    {
+        std::lock_guard<std::mutex> lock(frontend_mu_);
+        if (auto design = find()) {
+            frontend_hits_++;
+            cached = true;
+            return design;
+        }
+        frontend_misses_++;
+    }
+
+    cached = false;
+    vlog::Design parsed;
+    for (size_t i = 0; i < paths.size(); i++)
+        for (auto &m : vlog::parseString(sources[i], paths[i]).modules)
+            parsed.modules.push_back(std::move(m));
+    auto design =
+        std::make_shared<vlog::ElabResult>(vlog::elaborate(parsed, eo));
+    // Build the netlist's lazy topological order now, while no other
+    // request can see it.
+    design->netlist->validate();
+
+    std::lock_guard<std::mutex> lock(frontend_mu_);
+    // A concurrent miss on the same key may have published first.
+    if (auto existing = find())
+        return existing;
+    frontend_.push_front({std::move(key), design});
+    if (frontend_.size() > kFrontEndCapacity)
+        frontend_.pop_back();
+    return design;
+}
+
 json::Value
 Server::handleSynthesize(const json::Value &req)
 {
@@ -581,8 +661,10 @@ Server::handleSynthesize(const json::Value &req)
         for (const auto &[k, v] : params->obj)
             eo.params[k] = v.asInt();
     }
-    vlog::ElabResult design = vlog::elaborateFiles(paths, eo);
-    std::string bad_signal = rtl2uspec::metadataSignalError(md, design);
+    bool elab_cached = false;
+    std::shared_ptr<const vlog::ElabResult> design =
+        elaborateCached(paths, eo, elab_cached);
+    std::string bad_signal = rtl2uspec::metadataSignalError(md, *design);
     if (!bad_signal.empty())
         return errResp("bad_request", bad_signal);
 
@@ -632,14 +714,14 @@ Server::handleSynthesize(const json::Value &req)
         bool failed = false;
         std::string fail_msg;
         try {
-            synth = rtl2uspec::synthesize(design, md, so);
+            synth = rtl2uspec::synthesize(*design, md, so);
         } catch (const FatalError &e) {
             failed = true;
             fail_msg = e.what();
         }
         endAttempt(inf);
         if (failed)
-            return errResp("internal", fail_msg);
+            return errResp("bad_request", fail_msg);
 
         interrupted = false;
         for (const auto &sva : synth.svas) {
@@ -677,6 +759,7 @@ Server::handleSynthesize(const json::Value &req)
 
     json::Value resp = okResp("synthesize");
     resp.set("attempts", json::Value::number(int64_t{attempts}));
+    resp.set("elab_cached", json::Value::boolean_(elab_cached));
     resp.set("interrupted", json::Value::boolean_(interrupted));
     resp.set("degraded",
              json::Value::boolean_(synth.unknownSvas > 0));

@@ -8,7 +8,10 @@
  * requests (synthesize, campaign) are dispatched onto a work-stealing
  * ThreadPool over one shared cross-request VerdictCache, so most
  * traffic — re-checks of near-identical designs — replays verdicts
- * instead of re-solving them.
+ * instead of re-solving them. A re-check of byte-identical sources
+ * also skips parsing and elaboration: the last few elaborated designs
+ * are kept in memory, keyed by the exact bytes they were built from
+ * (elaborateCached).
  *
  * Robustness model, in the order things fail:
  *
@@ -62,6 +65,12 @@
 namespace r2u::bmc
 {
 class Engine;
+}
+
+namespace r2u::vlog
+{
+struct ElabOptions;
+struct ElabResult;
 }
 
 namespace r2u::serve
@@ -186,6 +195,15 @@ class Server
     json::Value handleStatus() const;
     json::Value handleSynthesize(const json::Value &req);
     json::Value handleCampaign(const json::Value &req);
+    /**
+     * The front-end memo: parse and elaborate @p paths under @p eo,
+     * or return the design a previous request elaborated from the
+     * same bytes. Sets @p cached on a hit. A failed parse or
+     * elaboration throws and leaves the memo as it was.
+     */
+    std::shared_ptr<const vlog::ElabResult>
+    elaborateCached(const std::vector<std::string> &paths,
+                    const vlog::ElabOptions &eo, bool &cached);
     /** Admission check; fills @p denial when the request is shed. */
     bool admit(json::Value &denial);
 
@@ -217,6 +235,22 @@ class Server
     std::vector<std::shared_ptr<Inflight>> inflight_;
     std::thread watchdog_;
     std::atomic<bool> watchdog_stop_{false};
+
+    /** One memoized design: the exact bytes it was elaborated from
+     *  (top, sorted params, and each path with its file's contents)
+     *  and the result, its topological order already forced so that
+     *  requests sharing it only read. */
+    struct FrontEndEntry
+    {
+        std::string key;
+        std::shared_ptr<const vlog::ElabResult> design;
+    };
+    static constexpr size_t kFrontEndCapacity = 8;
+    mutable std::mutex frontend_mu_;
+    /** Most recently used first; at most kFrontEndCapacity entries. */
+    std::list<FrontEndEntry> frontend_;
+    uint64_t frontend_hits_ = 0;
+    uint64_t frontend_misses_ = 0;
 
     std::mutex conns_mu_;
     std::list<std::unique_ptr<Conn>> conns_;

@@ -271,3 +271,36 @@ TEST(NetlistHash, ConeHasherMatchesConeHashOnVscale)
     EXPECT_EQ(hb, nl::coneHash(n, b));
     EXPECT_EQ(hasher.size(), distinct.size());
 }
+
+// ConeHasher::cone closes each distinct seed set once. A permuted or
+// repeated seed list is the same set, so it must answer from the memo
+// with exactly what computeCoi and coneHash give for the original.
+TEST(NetlistHash, ConeOfPermutedSeedsMatchesComputeCoi)
+{
+    vscale::Config cfg = vscale::Config::formal();
+    cfg.imemWords = 16;
+    auto design = vscale::elaborateVscale(cfg);
+    const nl::Netlist &n = *design.netlist;
+    const std::vector<nl::CellId> &dffs = n.dffs();
+    ASSERT_GE(dffs.size(), 3u);
+    ASSERT_GT(n.numMemories(), 0u);
+
+    nl::CoiSeeds seeds{{dffs[2], dffs[0], dffs[1]}, {0}};
+    nl::Coi coi = nl::computeCoi(n, seeds);
+    nl::ConeHasher hasher(n);
+    nl::Cone first = hasher.cone(seeds);
+    EXPECT_EQ(first.cells, coi.numCells());
+    EXPECT_EQ(first.hash, nl::coneHash(n, coi));
+
+    nl::CoiSeeds shuffled{{dffs[1], dffs[2], dffs[0], dffs[2]}, {0, 0}};
+    nl::Cone again = hasher.cone(shuffled);
+    EXPECT_EQ(again.cells, first.cells);
+    EXPECT_EQ(again.hash, first.hash);
+    EXPECT_EQ(hasher.size(), 1u);
+
+    // A different set is a different entry with its own exact values.
+    nl::CoiSeeds other{{dffs[0]}, {}};
+    nl::Cone c = hasher.cone(other);
+    EXPECT_EQ(c.cells, nl::computeCoi(n, other).numCells());
+    EXPECT_EQ(c.hash, nl::coneHash(n, other));
+}

@@ -5,8 +5,10 @@
  * Server — admission control ("overloaded" replies), the full chaos
  * suite (solver stall -> watchdog interrupt -> bounded retry; torn
  * cache append -> rollback + disable; dropped connection -> client
- * reconnect/re-issue), and warm restart from the persistent state
- * dir. The acceptance property throughout: a daemon
+ * reconnect/re-issue), warm restart from the persistent state dir,
+ * and the front-end memo (edits miss, failed elaborations are not
+ * stored, concurrent warm requests share one elaboration). The
+ * acceptance property throughout: a daemon
  * under chaos returns a model bit-identical to a fault-free run.
  *
  * kill -9 crash recovery needs a real process boundary and lives in
@@ -156,28 +158,68 @@ synthesizeRequest()
     return req;
 }
 
+/** The model @p req asks for, synthesized directly (as the CLI does). */
+std::string
+directModel(const json::Value &req)
+{
+    rtl2uspec::DesignMetadata md =
+        rtl2uspec::loadMetadata(req.getStr("meta"));
+    if (req.getInt("bound") > 0)
+        md.bound = static_cast<unsigned>(req.getInt("bound"));
+    vlog::ElabOptions eo;
+    eo.top = req.getStr("top");
+    for (const auto &[k, v] : req.find("params")->obj)
+        eo.params[k] = v.asInt();
+    std::vector<std::string> paths;
+    for (const auto &f : req.find("files")->arr)
+        paths.push_back(f.asStr());
+    rtl2uspec::SynthesisOptions so;
+    so.jobs = 1;
+    return rtl2uspec::synthesize(vlog::elaborateFiles(paths, eo), md, so)
+        .model.print();
+}
+
 /** Fault-free reference model, synthesized once, directly. */
 const std::string &
 referenceModel()
 {
-    static std::string text = [] {
-        json::Value req = synthesizeRequest();
-        rtl2uspec::DesignMetadata md =
-            rtl2uspec::loadMetadata(req.getStr("meta"));
-        vlog::ElabOptions eo;
-        eo.top = req.getStr("top");
-        for (const auto &[k, v] : req.find("params")->obj)
-            eo.params[k] = v.asInt();
-        std::vector<std::string> paths;
-        for (const auto &f : req.find("files")->arr)
-            paths.push_back(f.asStr());
-        rtl2uspec::SynthesisOptions so;
-        so.jobs = 1;
-        return rtl2uspec::synthesize(vlog::elaborateFiles(paths, eo),
-                                     md, so)
-            .model.print();
-    }();
+    static std::string text = directModel(synthesizeRequest());
     return text;
+}
+
+/**
+ * synthesizeRequest() at a short bound (fast to solve), over copies of
+ * the design's files in a fresh temp directory @p dir, so a test can
+ * edit them.
+ */
+json::Value
+copiedDesignRequest(const std::string &dir)
+{
+    fs::create_directories(dir);
+    json::Value req = synthesizeRequest();
+    json::Value files = json::Value::array();
+    for (const json::Value &f : req.find("files")->arr) {
+        fs::path to = fs::path(dir) / fs::path(f.asStr()).filename();
+        fs::copy_file(f.asStr(), to);
+        files.push(json::Value::string(to.string()));
+    }
+    req.set("files", std::move(files));
+    req.set("bound", json::Value::number(int64_t{5}));
+    return req;
+}
+
+/** The status reply's frontend block. */
+json::Value
+frontendStatus(Client &client)
+{
+    json::Value req = json::Value::object();
+    req.set("type", json::Value::string("status"));
+    json::Value resp;
+    std::string err;
+    EXPECT_TRUE(client.request(req, resp, &err)) << err;
+    const json::Value *fe = resp.find("frontend");
+    EXPECT_NE(fe, nullptr) << resp.dump();
+    return fe ? *fe : json::Value::object();
 }
 
 /** Server + serve() thread with RAII shutdown. */
@@ -426,6 +468,15 @@ TEST(Serve, StatusCountsLoadedVerdictsAtStartOnly)
     ASSERT_TRUE(client.requestWithRetry(sock, req, resp, &err)) << err;
     ASSERT_TRUE(resp.getBool("ok")) << resp.dump();
     EXPECT_GT(resp.getInt("cache_appends"), 0) << resp.dump();
+    ASSERT_NE(resp.find("elab_cached"), nullptr) << resp.dump();
+    EXPECT_FALSE(resp.getBool("elab_cached")) << resp.dump();
+
+    // The same request again reuses the elaborated design.
+    json::Value warm;
+    ASSERT_TRUE(client.requestWithRetry(sock, req, warm, &err)) << err;
+    ASSERT_TRUE(warm.getBool("ok")) << warm.dump();
+    EXPECT_TRUE(warm.getBool("elab_cached")) << warm.dump();
+    EXPECT_EQ(warm.getStr("model_fnv"), resp.getStr("model_fnv"));
 
     req = json::Value::object();
     req.set("type", json::Value::string("status"));
@@ -435,6 +486,139 @@ TEST(Serve, StatusCountsLoadedVerdictsAtStartOnly)
     EXPECT_TRUE(cache->getBool("enabled"));
     EXPECT_EQ(cache->getInt("loaded"), 0) << resp.dump();
     EXPECT_GT(cache->getInt("appended"), 0) << resp.dump();
+    const json::Value *fe = resp.find("frontend");
+    ASSERT_NE(fe, nullptr) << resp.dump();
+    EXPECT_EQ(fe->getInt("entries"), 1) << resp.dump();
+    EXPECT_EQ(fe->getInt("hits"), 1) << resp.dump();
+    EXPECT_EQ(fe->getInt("misses"), 1) << resp.dump();
+}
+
+// Bad input is the client's error, not the daemon's: a malformed
+// .meta and a Verilog syntax error each get bad_request, the failed
+// elaboration is not memoized, and the daemon keeps serving. Once the
+// file is fixed, the same request succeeds.
+TEST(Serve, BadInputIsABadRequestAndIsNotMemoized)
+{
+    std::string sock = tempPath("serve_bad_input.sock");
+    std::string dir = tempPath("serve_bad_input");
+    ServerOptions opts;
+    opts.socketPath = sock;
+    TestDaemon daemon(std::move(opts));
+
+    Client client;
+    std::string err;
+    ASSERT_TRUE(client.connect(sock, &err)) << err;
+    json::Value good = copiedDesignRequest(dir);
+    json::Value resp;
+
+    std::string bad_meta = dir + "/bad.meta";
+    writeFile(bad_meta, "core prefix=c.\n");
+    json::Value req = good;
+    req.set("meta", json::Value::string(bad_meta));
+    ASSERT_TRUE(client.request(req, resp, &err)) << err;
+    EXPECT_FALSE(resp.getBool("ok"));
+    EXPECT_EQ(resp.getStr("code"), "bad_request") << resp.dump();
+
+    std::string core = dir + "/vscale_core.v";
+    std::string text = readFile(core);
+    writeFile(core, text + "\nmodule broken(;\n");
+    ASSERT_TRUE(client.request(good, resp, &err)) << err;
+    EXPECT_FALSE(resp.getBool("ok"));
+    EXPECT_EQ(resp.getStr("code"), "bad_request") << resp.dump();
+    EXPECT_EQ(frontendStatus(client).getInt("entries"), 0);
+
+    writeFile(core, text);
+    ASSERT_TRUE(client.request(good, resp, &err)) << err;
+    ASSERT_TRUE(resp.getBool("ok")) << resp.dump();
+    EXPECT_FALSE(resp.getBool("elab_cached"));
+    json::Value fe = frontendStatus(client);
+    EXPECT_EQ(fe.getInt("entries"), 1);
+    EXPECT_EQ(fe.getInt("hits"), 0);
+}
+
+// An edited file changes the memo key: the next request re-elaborates
+// and answers with the model the edited design gives when synthesized
+// directly. The edit is one operator at identical cell counts (the CI
+// verdict-cache smoke's logic edit).
+TEST(Serve, EditedSourceMissesTheFrontEndMemo)
+{
+    std::string sock = tempPath("serve_edit.sock");
+    std::string dir = tempPath("serve_edit");
+    ServerOptions opts;
+    opts.socketPath = sock;
+    opts.stateDir = tempPath("serve_edit_state");
+    TestDaemon daemon(std::move(opts));
+
+    Client client;
+    std::string err;
+    ASSERT_TRUE(client.connect(sock, &err)) << err;
+    json::Value req = copiedDesignRequest(dir);
+    json::Value resp;
+    for (int i = 0; i < 2; i++) {
+        ASSERT_TRUE(client.request(req, resp, &err)) << err;
+        ASSERT_TRUE(resp.getBool("ok")) << resp.dump();
+        EXPECT_EQ(resp.getBool("elab_cached"), i == 1);
+    }
+
+    std::string core = dir + "/vscale_core.v";
+    std::string text = readFile(core);
+    const std::string from = "alu_out = rs1_data & rs2_data;";
+    size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, from.size(), "alu_out = rs1_data | rs2_data;");
+    writeFile(core, text);
+
+    ASSERT_TRUE(client.request(req, resp, &err)) << err;
+    ASSERT_TRUE(resp.getBool("ok")) << resp.dump();
+    EXPECT_FALSE(resp.getBool("elab_cached"));
+    EXPECT_GT(resp.getInt("cache_misses"), 0) << resp.dump();
+    EXPECT_EQ(resp.getStr("model"), directModel(req));
+    json::Value fe = frontendStatus(client);
+    EXPECT_EQ(fe.getInt("entries"), 2);
+    EXPECT_EQ(fe.getInt("hits"), 1);
+    EXPECT_EQ(fe.getInt("misses"), 2);
+}
+
+// Concurrent warm requests share one memoized design, read-only: every
+// reply carries the same model, and the design was elaborated once.
+TEST(Serve, ConcurrentWarmRequestsShareOneElaboration)
+{
+    std::string sock = tempPath("serve_concurrent.sock");
+    ServerOptions opts;
+    opts.socketPath = sock;
+    opts.stateDir = tempPath("serve_concurrent_state");
+    TestDaemon daemon(std::move(opts));
+
+    json::Value req = synthesizeRequest();
+    req.set("bound", json::Value::number(int64_t{5}));
+    Client warmer;
+    std::string err;
+    json::Value cold;
+    ASSERT_TRUE(warmer.requestWithRetry(sock, req, cold, &err)) << err;
+    ASSERT_TRUE(cold.getBool("ok")) << cold.dump();
+
+    constexpr int kClients = 4;
+    std::vector<json::Value> replies(kClients);
+    std::vector<std::string> errs(kClients);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kClients; i++)
+        threads.emplace_back([&, i] {
+            Client c;
+            c.requestWithRetry(sock, req, replies[i], &errs[i]);
+        });
+    for (auto &t : threads)
+        t.join();
+    for (int i = 0; i < kClients; i++) {
+        ASSERT_TRUE(replies[i].getBool("ok"))
+            << errs[i] << replies[i].dump();
+        EXPECT_TRUE(replies[i].getBool("elab_cached"));
+        EXPECT_EQ(replies[i].getStr("model_fnv"),
+                  cold.getStr("model_fnv"));
+    }
+    json::Value fe = frontendStatus(warmer);
+    EXPECT_EQ(fe.getInt("entries"), 1);
+    EXPECT_EQ(fe.getInt("misses"), 1);
+    EXPECT_EQ(fe.getInt("hits"), kClients);
 }
 
 TEST(Serve, CampaignRoundTrip)
