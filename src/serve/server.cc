@@ -634,6 +634,7 @@ Server::elaborateCached(const std::vector<std::string> &paths,
 json::Value
 Server::handleSynthesize(const json::Value &req)
 {
+    Timer timer; // wall_ms: the whole handler, front end included
     std::string top = req.getStr("top");
     std::string meta_path = req.getStr("meta");
     const json::Value *files = req.find("files");
@@ -675,7 +676,6 @@ Server::handleSynthesize(const json::Value &req)
     unsigned jobs = static_cast<unsigned>(std::max(
         int64_t{0}, req.getInt("jobs", opts_.defaultJobs)));
 
-    Timer timer;
     rtl2uspec::SynthesisResult synth;
     unsigned attempts = 0;
     bool interrupted = false;

@@ -193,6 +193,8 @@ class Server
     bool handleFrame(Conn *conn, const std::string &payload);
     json::Value dispatch(const json::Value &req);
     json::Value handleStatus() const;
+    /** Reply's wall_ms spans the whole handler, front end included
+     *  (metadata load, file reads, memo lookup or elaboration). */
     json::Value handleSynthesize(const json::Value &req);
     json::Value handleCampaign(const json::Value &req);
     /**

@@ -737,6 +737,16 @@ TEST(BmcEngine, VscaleQueryKeysArePinned)
         coi[sva.coiCells]++;
     const std::map<size_t, size_t> want{{1392, 33}, {1402, 2}, {1403, 2}};
     EXPECT_EQ(coi, want);
+
+    // Record order: the sorted key hash above cannot see it, but the
+    // report, --svas and proof sampling all follow it.
+    nl::Fnv64 order;
+    for (const auto &sva : res.svas) {
+        order.str(sva.name);
+        order.str(sva.category);
+        order.str(bmc::verdictName(sva.verdict));
+    }
+    EXPECT_EQ(order.value(), 0xa035da8566f8ca17ull);
 }
 
 TEST(BmcEngine, ValidationModesDoNotChangeTheModel)
